@@ -32,6 +32,7 @@ from .operators import (
 from .radius import (
     RadiusCollapse,
     RadiusModel,
+    RadiusTracker,
     bernoulli_tau,
     cumulative_integral,
     estimate_C_tilde,

@@ -8,7 +8,6 @@ variable GEVREYMHD_OUTPUT_DIR; no other setting is overridable.
 import argparse
 import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -76,34 +75,25 @@ def _build_state(config):
 
 
 def _execute_run(config, state, start_tau: float | None = None) -> int:
-    from .radius import RadiusModel
+    from .radius import RadiusModel, cumulative_integral, estimate_C_tilde
     from .solver import recompute_radius, run
 
     tau0 = start_tau if start_tau is not None else config.params.tau
-    fit_requested = config.c == "fit" or config.c_tilde == "fit"
-    model = RadiusModel(
-        C=1.0 if config.c == "fit" else float(config.c),
-        C_tilde=1.0 if config.c_tilde == "fit" else float(config.c_tilde),
-        tau0=tau0,
+    fit_requested = config.c == "fit"
+    model = RadiusModel(C=1.0 if fit_requested else float(config.c), tau0=tau0)
+    result = run(
+        state, params=config.params, t_end=config.t_end, dt=config.dt,
+        cfl=config.cfl, cadence=config.cadence, model=model,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        result = run(
-            state, params=config.params, t_end=config.t_end, dt=config.dt,
-            cfl=config.cfl, cadence=config.cadence, model=model,
-        )
     records = result.records
     if fit_requested and len(records) >= 10:
-        from .radius import RadiusModel as RM
-        from .radius import cumulative_integral, estimate_C_tilde
-
         times = [rec.t for rec in records]
         grads = [rec.grad_sum for rec in records]
         hrs = [rec.norms.hr for rec in records]
         integral = cumulative_integral(times, grads)
         c_tilde = estimate_C_tilde(times, hrs, integral)
         c_fit = max(2.0 * c_tilde, 1e-6)
-        fitted = RM(C=c_fit, C_tilde=max(c_tilde, 1e-6), tau0=tau0)
+        fitted = RadiusModel(C=c_fit, C_tilde=max(c_tilde, 1e-6), tau0=tau0)
         records = recompute_radius(records, fitted)
         print(f"fitted constants: C_tilde={c_tilde:.6g} C={c_fit:.6g}")
 
@@ -185,7 +175,7 @@ def cmd_fit_radius(args) -> int:
     return 0
 
 
-def _verify_identities(seed: int, size: int, reports: list) -> None:
+def _verify_identities(seed: int, reports: list) -> None:
     from .lab import cancellation_residual, triad_decomposition_check
     from .operators import MultiplierSpec, curl
     from .spectral import Grid, random_band
@@ -230,7 +220,7 @@ def cmd_verify(args) -> int:
         return 1
     reports: list = []
     if args.suite in ("identities", "all"):
-        _verify_identities(args.seed, args.size, reports)
+        _verify_identities(args.seed, reports)
     if args.suite in ("inequalities", "all"):
         _verify_inequalities(args.range, reports)
     if args.suite in ("balance", "all"):
@@ -257,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite")
     p_verify.add_argument("--range", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--size", type=int, default=16)
     p_verify.set_defaults(func=cmd_verify)
 
     p_fit = sub.add_parser("fit-radius",

@@ -4,7 +4,7 @@ Unknown keys are rejected; missing required keys are reported all at once.
 """
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .norms import GevreyParams
@@ -20,7 +20,7 @@ _SCHEMA = {
                 "seed": False, "kmax": False},
     "time": {"t_end": True, "dt": False, "cfl": False, "cadence": False},
     "gevrey": {"r": True, "s": False, "tau0": True},
-    "radius": {"c": False, "c_tilde": False},
+    "radius": {"c": False},
     "output": {"directory": False, "series": False, "spectra": False,
                "checkpoint": False},
 }
@@ -43,7 +43,6 @@ class RunConfig:
     seed: int = 0
     kmax: int = 2
     c: float | str = 1.0
-    c_tilde: float | str = 1.0
     directory: str = "."
     series: str = "series.csv"
     spectra: str = ""
@@ -67,12 +66,13 @@ class RunConfig:
             errors.append(f"time.cadence must be >= 1, got {self.cadence}")
         if self.params.tau <= 0:
             errors.append(f"gevrey.tau0 must be > 0, got {self.params.tau}")
-        for name, v in (("radius.c", self.c), ("radius.c_tilde", self.c_tilde)):
-            if isinstance(v, str):
-                if v != "fit":
-                    errors.append(f"{name} must be a number or 'fit', got {v!r}")
-            elif v <= 0:
-                errors.append(f"{name} must be > 0, got {v}")
+        if isinstance(self.c, str):
+            if self.c != "fit":
+                errors.append(
+                    f"radius.c must be a number or 'fit', got {self.c!r}"
+                )
+        elif self.c <= 0:
+            errors.append(f"radius.c must be > 0, got {self.c}")
         if errors:
             raise ConfigError("; ".join(errors))
 
@@ -152,7 +152,6 @@ def load_config(path) -> RunConfig:
             seed=_get(parser, "initial", "seed", int, 0),
             kmax=_get(parser, "initial", "kmax", int, 2),
             c=_get(parser, "radius", "c", c_value, 1.0),
-            c_tilde=_get(parser, "radius", "c_tilde", c_value, 1.0),
             directory=_get(parser, "output", "directory", str, "."),
             series=_get(parser, "output", "series", str, "series.csv"),
             spectra=_get(parser, "output", "spectra", str, ""),

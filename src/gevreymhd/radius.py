@@ -6,7 +6,7 @@ Gronwall majorant M(t)).  For frozen coefficients this is a Bernoulli ODE
 with an explicit solution, used to validate the integrator.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,7 +109,7 @@ def integrate_radius(times, a_series, b_series, tau0: float,
             k4 = radius_rhs(tau + h * k3, a1, b1)
             tau = tau + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t_local += h
-            if tau <= 1e-300:
+            if not tau > 1e-300:  # also catches NaN from overflowing b
                 raise RadiusCollapse(
                     f"radius collapsed at t={t0 + t_local:.6g}"
                 )
@@ -154,6 +154,54 @@ def gronwall_majorant(times, hr_series, grad_integral, C: float,
     G = np.exp(C * integral)
     inner = cumulative_integral(times, hr**2 / G)
     return G * (x0 + C * (1.0 + tau0) * inner)
+
+
+class RadiusTracker:
+    """The radius pipeline advanced by one sample interval at a time.
+
+    Carries I(t), the inner Gronwall integral, the ODE coefficients and tau
+    at the latest sample.  Each advance repeats, in the same order, the
+    floating-point operations of cumulative_integral, gronwall_majorant and
+    integrate_radius over the whole history, so its values equal theirs
+    exactly at a cost independent of the history length.  After a
+    RadiusCollapse, tau stays at 1e-300 and `collapsed` is set.
+    """
+
+    def __init__(self, model: RadiusModel, t0: float, grad_sum: float,
+                 hr: float, x0: float):
+        self.model = model.populate_from_initial(hr, x0)
+        self.t0 = self.t = t0
+        self.x0 = x0
+        self.integral = self.inner = 0.0
+        self.grad_sum, self.weight = grad_sum, hr * hr
+        # At t0, G = 1 and the majorant is x0.
+        self.a, self.b = model.C * grad_sum, model.C * (hr + x0)
+        self.tau = model.tau0
+        self.collapsed = False
+
+    def advance(self, t: float, grad_sum: float, hr: float) -> None:
+        """Take in the sample at time t and integrate tau up to it."""
+        C, span = self.model.C, t - self.t
+        self.integral += 0.5 * (grad_sum + self.grad_sum) * span
+        G = np.exp(C * self.integral)
+        weight = hr * hr / G
+        self.inner += 0.5 * (weight + self.weight) * span
+        majorant = G * (self.x0 + C * (1.0 + self.model.tau0) * self.inner)
+        a, b = C * grad_sum, C * (hr + majorant)
+        if not self.collapsed:
+            try:
+                self.tau = float(integrate_radius(
+                    (self.t, t), (self.a, a), (self.b, b), self.tau
+                )[-1])
+            except RadiusCollapse:
+                self.tau, self.collapsed = 1e-300, True
+        self.t, self.grad_sum, self.weight = t, grad_sum, weight
+        self.a, self.b = a, b
+
+    @property
+    def tau_lower(self) -> float:
+        """The explicit lower bound at the latest sample."""
+        return radius_lower_bound(self.t - self.t0, self.model, self.integral)
 
 
 def estimate_C_tilde(times, hr_series, grad_integral) -> float:

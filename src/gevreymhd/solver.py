@@ -6,13 +6,13 @@ The vorticity/current pair and its evolution equation are available as
 diagnostics, and the run loop feeds the analyticity-radius tracker.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .norms import GevreyParams, NormRecord, RadiusFitError, fit_radius, state_norms, sup_gradient
 from .operators import advect, biot_savart, curl, gradient_physical, inner_l2
-from .radius import RadiusModel, integrate_radius, radius_lower_bound
+from .radius import RadiusModel, RadiusTracker
 from .spectral import (
     MHDState,
     SpectralField,
@@ -88,26 +88,29 @@ def rhs_primitive(state: MHDState) -> Tendency:
     return Tendency(du, dh)
 
 
-def rhs_curl(state: MHDState) -> Tendency:
-    """Tendency of the vorticity/current pair, evaluated term by term.
+def _curl_tendency(u: SpectralField, h: SpectralField, omega: SpectralField,
+                   current: SpectralField) -> Tendency:
+    """Vorticity/current tendency for given transporting fields, term by term.
 
     d omega = -(u.grad)omega + (h.grad)J + (omega.grad)u - (J.grad)h
     d J     = -(u.grad)J + (h.grad)omega + (omega.grad)h - (J.grad)u
     """
-    omega = curl(state.u)
-    current = curl(state.h)
-    u, h = state.u, state.h
     domega = SpectralField(
-        state.grid,
+        omega.grid,
         -advect(u, omega).coeffs + advect(h, current).coeffs
         + advect(omega, u).coeffs - advect(current, h).coeffs,
     )
     dcurrent = SpectralField(
-        state.grid,
+        omega.grid,
         -advect(u, current).coeffs + advect(h, omega).coeffs
         + advect(omega, h).coeffs - advect(current, u).coeffs,
     )
     return Tendency(domega, dcurrent)
+
+
+def rhs_curl(state: MHDState) -> Tendency:
+    """Tendency of the vorticity/current pair of a primitive state."""
+    return _curl_tendency(state.u, state.h, curl(state.u), curl(state.h))
 
 
 def cross_gradient_curl_term(u: SpectralField, h: SpectralField) -> SpectralField:
@@ -140,46 +143,47 @@ def rhs_curl_pair(omega: SpectralField, current: SpectralField) -> Tendency:
     this closes the vorticity/current system as stated, whose current
     tendency carries a gradient part.
     """
-    u = biot_savart(leray_project(omega))
-    h = biot_savart(leray_project(current))
-    domega = SpectralField(
-        omega.grid,
-        -advect(u, omega).coeffs + advect(h, current).coeffs
-        + advect(omega, u).coeffs - advect(current, h).coeffs,
-    )
-    dcurrent = SpectralField(
-        omega.grid,
-        -advect(u, current).coeffs + advect(h, omega).coeffs
-        + advect(omega, h).coeffs - advect(current, u).coeffs,
-    )
-    return Tendency(domega, dcurrent)
+    return _curl_tendency(biot_savart(leray_project(omega)),
+                          biot_savart(leray_project(current)), omega, current)
+
+
+def _rk4(tendency, y0: tuple, t: float, dt: float, what: str) -> tuple:
+    """One classical RK4 step over a tuple of coefficient arrays.
+
+    tendency(arrays, t) returns the tuple of time derivatives; a non-finite
+    stage tendency raises StepError naming `what`.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+
+    def stage(y, t_stage):
+        k = tendency(y, t_stage)
+        if not all(np.all(np.isfinite(c)) for c in k):
+            raise StepError(
+                f"non-finite {what} at t={t_stage:.6g} (dt={dt:.3g})"
+            )
+        return k
+
+    k1 = stage(y0, t)
+    k2 = stage(tuple(y + 0.5 * dt * k for y, k in zip(y0, k1)), t + 0.5 * dt)
+    k3 = stage(tuple(y + 0.5 * dt * k for y, k in zip(y0, k2)), t + 0.5 * dt)
+    k4 = stage(tuple(y + dt * k for y, k in zip(y0, k3)), t + dt)
+    return tuple(y + dt / 6.0 * (a + 2 * b + 2 * c + d)
+                 for y, a, b, c, d in zip(y0, k1, k2, k3, k4))
 
 
 def step_rk4_curl(omega: SpectralField, current: SpectralField,
                   dt: float) -> tuple:
     """One RK4 step of the prognostic vorticity/current system."""
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    w0, j0 = omega.coeffs, current.coeffs
     grid = omega.grid
 
-    def stage(wc, jc):
-        tend = rhs_curl_pair(
-            SpectralField(grid, wc), SpectralField(grid, jc)
-        )
-        if not (np.all(np.isfinite(tend.du.coeffs))
-                and np.all(np.isfinite(tend.dh.coeffs))):
-            raise StepError(f"non-finite curl-pair tendency (dt={dt:.3g})")
-        return tend
+    def tendency(y, t):
+        tend = rhs_curl_pair(SpectralField(grid, y[0]),
+                             SpectralField(grid, y[1]))
+        return tend.du.coeffs, tend.dh.coeffs
 
-    k1 = stage(w0, j0)
-    k2 = stage(w0 + 0.5 * dt * k1.du.coeffs, j0 + 0.5 * dt * k1.dh.coeffs)
-    k3 = stage(w0 + 0.5 * dt * k2.du.coeffs, j0 + 0.5 * dt * k2.dh.coeffs)
-    k4 = stage(w0 + dt * k3.du.coeffs, j0 + dt * k3.dh.coeffs)
-    wnew = w0 + dt / 6.0 * (k1.du.coeffs + 2 * k2.du.coeffs
-                            + 2 * k3.du.coeffs + k4.du.coeffs)
-    jnew = j0 + dt / 6.0 * (k1.dh.coeffs + 2 * k2.dh.coeffs
-                            + 2 * k3.dh.coeffs + k4.dh.coeffs)
+    wnew, jnew = _rk4(tendency, (omega.coeffs, current.coeffs), 0.0, dt,
+                      "curl-pair tendency")
     return (dealias(SpectralField(grid, wnew)),
             dealias(SpectralField(grid, jnew)))
 
@@ -197,34 +201,17 @@ def cfl_timestep(state: MHDState, cfl: float = 0.5) -> float:
 
 def step_rk4(state: MHDState, dt: float) -> MHDState:
     """Classical 4-stage explicit step; output re-projected and dealiased."""
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    u0, h0 = state.u.coeffs, state.h.coeffs
+    grid = state.grid
 
-    def stage(uc, hc, t):
-        st = MHDState(
-            SpectralField(state.grid, uc), SpectralField(state.grid, hc), t
-        )
-        tend = rhs_primitive(st)
-        if not (np.all(np.isfinite(tend.du.coeffs))
-                and np.all(np.isfinite(tend.dh.coeffs))):
-            raise StepError(
-                f"non-finite tendency at t={t:.6g} (dt={dt:.3g})"
-            )
-        return tend
+    def tendency(y, t):
+        tend = rhs_primitive(MHDState(SpectralField(grid, y[0]),
+                                      SpectralField(grid, y[1]), t))
+        return tend.du.coeffs, tend.dh.coeffs
 
-    k1 = stage(u0, h0, state.t)
-    k2 = stage(u0 + 0.5 * dt * k1.du.coeffs, h0 + 0.5 * dt * k1.dh.coeffs,
-               state.t + 0.5 * dt)
-    k3 = stage(u0 + 0.5 * dt * k2.du.coeffs, h0 + 0.5 * dt * k2.dh.coeffs,
-               state.t + 0.5 * dt)
-    k4 = stage(u0 + dt * k3.du.coeffs, h0 + dt * k3.dh.coeffs, state.t + dt)
-    unew = u0 + dt / 6.0 * (k1.du.coeffs + 2 * k2.du.coeffs
-                            + 2 * k3.du.coeffs + k4.du.coeffs)
-    hnew = h0 + dt / 6.0 * (k1.dh.coeffs + 2 * k2.dh.coeffs
-                            + 2 * k3.dh.coeffs + k4.dh.coeffs)
-    u = dealias(leray_project(SpectralField(state.grid, unew)))
-    h = dealias(leray_project(SpectralField(state.grid, hnew)))
+    unew, hnew = _rk4(tendency, (state.u.coeffs, state.h.coeffs), state.t, dt,
+                      "tendency")
+    u = dealias(leray_project(SpectralField(grid, unew)))
+    h = dealias(leray_project(SpectralField(grid, hnew)))
     return MHDState(u, h, state.t + dt)
 
 
@@ -264,31 +251,13 @@ def recompute_radius(records: list, model: RadiusModel) -> list:
     Returns records with tau and tau_lower replaced; the PDE diagnostics are
     untouched.  Useful after fitting the constants from a completed run.
     """
-    from .radius import RadiusCollapse, cumulative_integral, gronwall_majorant
-
-    times = [rec.t for rec in records]
-    grad_sums = [rec.grad_sum for rec in records]
-    hr_series = [rec.norms.hr for rec in records]
-    model.populate_from_initial(hr_series[0], records[0].norms.x_norm)
-    integral = cumulative_integral(times, grad_sums)
-    majorant = gronwall_majorant(times, hr_series, integral, model.C,
-                                 model.tau0, records[0].norms.x_norm)
-    a_series = model.C * np.asarray(grad_sums)
-    b_series = model.C * (np.asarray(hr_series) + majorant)
-    try:
-        tau_series = integrate_radius(times, a_series, b_series, model.tau0)
-    except RadiusCollapse:
-        tau_series = np.full(len(times), 1e-300)
-        tau_series[0] = model.tau0
-    out = []
-    for i, rec in enumerate(records):
-        out.append(DiagnosticsRecord(
-            t=rec.t, energy=rec.energy, cross_helicity=rec.cross_helicity,
-            bkm_integrand=rec.bkm_integrand, grad_sum=rec.grad_sum,
-            norms=rec.norms, tau=float(tau_series[i]), tau_fit=rec.tau_fit,
-            tau_lower=radius_lower_bound(rec.t - times[0], model,
-                                         float(integral[i])),
-        ))
+    first = records[0]
+    tracker = RadiusTracker(model, first.t, first.grad_sum, first.norms.hr,
+                            first.norms.x_norm)
+    out = [replace(first, tau=model.tau0, tau_lower=tracker.tau_lower)]
+    for rec in records[1:]:
+        tracker.advance(rec.t, rec.grad_sum, rec.norms.hr)
+        out.append(replace(rec, tau=tracker.tau, tau_lower=tracker.tau_lower))
     return out
 
 
@@ -310,27 +279,16 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
         model = RadiusModel(tau0=params.tau if params.tau > 0 else 1.0)
     fit_s = params.s
 
-    records: list[DiagnosticsRecord] = []
-    times = [state.t]
-    grad_sums = []
-    hr_series = []
-    taus = [model.tau0]
-
     norms, bkm, grad_sum, tau_fit = _sample_diagnostics(state, params, fit_s)
-    model.populate_from_initial(norms.hr, norms.x_norm)
-    grad_sums.append(grad_sum)
-    hr_series.append(norms.hr)
+    tracker = RadiusTracker(model, state.t, grad_sum, norms.hr, norms.x_norm)
     bkm0 = max(bkm, 1e-300)
-    records.append(DiagnosticsRecord(
+    records = [DiagnosticsRecord(
         t=state.t, energy=energy(state), cross_helicity=cross_helicity(state),
         bkm_integrand=bkm, grad_sum=grad_sum, norms=norms,
         tau=model.tau0, tau_fit=tau_fit, tau_lower=model.tau0,
-    ))
+    )]
 
     status = "completed"
-    from .radius import cumulative_integral, gronwall_majorant, RadiusCollapse
-
-    step_dt = dt if dt is not None else min(cfl_timestep(state, cfl), t_end)
     steps_done = 0
     while state.t < t_end - 1e-12 * max(t_end, 1.0):
         if cfl is not None:
@@ -343,32 +301,15 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
             continue
 
         norms, bkm, grad_sum, tau_fit = _sample_diagnostics(state, params, fit_s)
-        times.append(state.t)
-        grad_sums.append(grad_sum)
-        hr_series.append(norms.hr)
-        integral = cumulative_integral(times, grad_sums)
-        majorant = gronwall_majorant(
-            times, hr_series, integral, model.C, model.tau0,
-            records[0].norms.x_norm,
-        )
-        a_series = model.C * np.asarray(grad_sums)
-        b_series = model.C * (np.asarray(hr_series) + majorant)
-        try:
-            tau_series = integrate_radius(times, a_series, b_series, model.tau0)
-        except RadiusCollapse:
-            status = "radius-collapse"
-            tau_series = np.concatenate([taus, [1e-300]])
-        tau_now = float(tau_series[-1])
-        taus.append(tau_now)
+        tracker.advance(state.t, grad_sum, norms.hr)
         records.append(DiagnosticsRecord(
             t=state.t, energy=energy(state),
             cross_helicity=cross_helicity(state),
             bkm_integrand=bkm, grad_sum=grad_sum, norms=norms,
-            tau=tau_now, tau_fit=tau_fit,
-            tau_lower=radius_lower_bound(state.t - times[0], model,
-                                         float(integral[-1])),
+            tau=tracker.tau, tau_fit=tau_fit, tau_lower=tracker.tau_lower,
         ))
-        if status == "radius-collapse":
+        if tracker.collapsed:
+            status = "radius-collapse"
             break
         if bkm > blowup_factor * bkm0:
             status = "blow-up"

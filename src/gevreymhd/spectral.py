@@ -253,33 +253,20 @@ def random_band(grid: Grid, seed: int, kmax: int,
     Leray-projected and Hermitian-symmetrized.  kmax must stay inside the
     dealiased ball (kmax < n/3).
     """
-    if kmax >= grid.n / 3.0:
-        raise GridError(
-            f"random_band kmax={kmax} would alias on n={grid.n} (need kmax < n/3)"
-        )
     rng = np.random.default_rng(seed)
-    u = _random_band_field(grid, rng, kmax, amplitude)
-    h = _random_band_field(grid, rng, kmax, amplitude)
+    u = random_band_field(grid, rng, kmax, amplitude)
+    h = random_band_field(grid, rng, kmax, amplitude)
     return MHDState(u, h, 0.0)
 
 
-def _random_band_field(grid: Grid, rng, kmax: int,
-                       amplitude: float) -> SpectralField:
-    n = grid.n
-    shape = (3, n, n, n)
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    k = grid.modes
-    band1 = np.abs(k) <= kmax
-    band = band1[:, None, None] & band1[None, :, None] & band1[None, None, :]
-    raw *= band
-    v = SpectralField(grid, amplitude * raw)
-    v = symmetrize(leray_project(v))
-    return v
-
-
-def random_band_field(grid: Grid, seed: int, kmax: int, amplitude: float = 1.0,
+def random_band_field(grid: Grid, seed: int | np.random.Generator, kmax: int,
+                      amplitude: float = 1.0,
                       solenoidal: bool = True) -> SpectralField:
-    """Single deterministic random band-limited field (test/lab helper)."""
+    """Single deterministic random band-limited field.
+
+    `seed` is an int or a numpy Generator; a Generator is drawn from in
+    place, so consecutive calls sharing one give independent fields.
+    """
     if kmax >= grid.n / 3.0:
         raise GridError(
             f"random_band kmax={kmax} would alias on n={grid.n} (need kmax < n/3)"

@@ -10,31 +10,16 @@ The hot O(M^2) double loop over mode pairs is therefore factored into a
 pairwise marginal P[j_m, k_m] computed once per field triple, after which
 every weighted sum is a cheap contraction of P against a small weight table.
 
-The marginal loop is JIT-compiled with numba; set GEVREYMHD_NO_NUMBA=1 to
-select the pure-numpy fallback (same results, slower).  Both paths use
-sequential reduction so residuals are bit-reproducible.
+The marginal is a numpy loop over the nonzero modes j of the first field,
+each contracting one shifted block of the third field against the second;
+its reduction order is fixed, so residuals are bit-reproducible.
 """
-
-import os
 
 import numpy as np
 
 from .spectral import SpectralField
 
 MAX_BRUTE_KMAX = 6
-
-_FORCE_NUMPY = os.environ.get("GEVREYMHD_NO_NUMBA", "") not in ("", "0")
-
-if not _FORCE_NUMPY:
-    try:
-        import numba
-    except ImportError:  # pragma: no cover
-        _FORCE_NUMPY = True
-
-
-def backend() -> str:
-    """Active marginal-kernel backend: "numba" or "numpy"."""
-    return "numpy" if _FORCE_NUMPY else "numba"
 
 
 class BandError(ValueError):
@@ -73,8 +58,11 @@ def extract_band(v: SpectralField, kmax: int, strict: bool = True) -> np.ndarray
     return cube
 
 
-def _pair_marginal_numpy(A, B, C, K, m):
+def pair_marginal(A: np.ndarray, B: np.ndarray, C: np.ndarray, K: int,
+                  m: int) -> np.ndarray:
     """P[j_m+K, k_m+K] = sum over pairs of (a_j . k)(b_k . c_{-j-k})."""
+    if m not in (1, 2, 3):
+        raise ValueError(f"direction index m must be in 1..3, got {m}")
     size = 2 * K + 1
     P = np.zeros((size, size), dtype=np.complex128)
     # Cbig[u + 2K] = c_{-u} for |u| <= K, else 0; then c_{-j-k} is the
@@ -104,69 +92,6 @@ def _pair_marginal_numpy(A, B, C, K, m):
                 axes = tuple(ax for ax in range(3) if ax != m - 1)
                 P[jm + K, :] += g.sum(axis=axes)
     return P
-
-
-if not _FORCE_NUMPY:
-
-    @numba.njit(cache=True)
-    def _pair_marginal_numba(A, B, C, K, m):  # pragma: no cover - jitted
-        size = 2 * K + 1
-        P = np.zeros((size, size), dtype=np.complex128)
-        for j1 in range(-K, K + 1):
-            for j2 in range(-K, K + 1):
-                for j3 in range(-K, K + 1):
-                    a0 = A[0, j1 + K, j2 + K, j3 + K]
-                    a1 = A[1, j1 + K, j2 + K, j3 + K]
-                    a2 = A[2, j1 + K, j2 + K, j3 + K]
-                    if a0 == 0 and a1 == 0 and a2 == 0:
-                        continue
-                    if m == 1:
-                        jm = j1
-                    elif m == 2:
-                        jm = j2
-                    else:
-                        jm = j3
-                    for k1 in range(-K, K + 1):
-                        l1 = -j1 - k1
-                        if l1 < -K or l1 > K:
-                            continue
-                        for k2 in range(-K, K + 1):
-                            l2 = -j2 - k2
-                            if l2 < -K or l2 > K:
-                                continue
-                            for k3 in range(-K, K + 1):
-                                l3 = -j3 - k3
-                                if l3 < -K or l3 > K:
-                                    continue
-                                ajk = a0 * k1 + a1 * k2 + a2 * k3
-                                if ajk == 0:
-                                    continue
-                                bc = (
-                                    B[0, k1 + K, k2 + K, k3 + K]
-                                    * C[0, l1 + K, l2 + K, l3 + K]
-                                    + B[1, k1 + K, k2 + K, k3 + K]
-                                    * C[1, l1 + K, l2 + K, l3 + K]
-                                    + B[2, k1 + K, k2 + K, k3 + K]
-                                    * C[2, l1 + K, l2 + K, l3 + K]
-                                )
-                                if m == 1:
-                                    km = k1
-                                elif m == 2:
-                                    km = k2
-                                else:
-                                    km = k3
-                                P[jm + K, km + K] += ajk * bc
-        return P
-
-
-def pair_marginal(A: np.ndarray, B: np.ndarray, C: np.ndarray, K: int,
-                  m: int) -> np.ndarray:
-    """Dispatch the marginal kernel to the active backend."""
-    if m not in (1, 2, 3):
-        raise ValueError(f"direction index m must be in 1..3, got {m}")
-    if _FORCE_NUMPY:
-        return _pair_marginal_numpy(A, B, C, K, m)
-    return _pair_marginal_numba(A, B, C, K, m)
 
 
 # ---------------------------------------------------------------------------

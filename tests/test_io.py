@@ -156,6 +156,18 @@ class TestCli:
                              "hr_norm,x_norm,y_norm,tau,tau_fit,tau_lower")
         assert len(series) == 1 + 2  # header + samples at t=0, 0.05
 
+    def test_subcritical_warning_reaches_stderr(self, tmp_path):
+        # BASE_CFG has r = 3 <= 5/2 + 3/(2s) = 4 at s = 1
+        cfg = write_cfg(tmp_path, BASE_CFG.format(outdir=tmp_path / "out"))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-m", "gevreymhd.cli", "run",
+                              str(cfg)], env=env, capture_output=True,
+                             text=True)
+        assert out.returncode == 0
+        assert "regularity threshold" in out.stderr
+
     def test_run_with_bad_config_exits_one(self, tmp_path, capsys):
         text = BASE_CFG.format(outdir=tmp_path).replace("n = 16", "n = 100")
         cfg = write_cfg(tmp_path, text)

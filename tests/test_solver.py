@@ -3,7 +3,13 @@ import pytest
 
 from gevreymhd.norms import GevreyParams
 from gevreymhd.operators import curl, inner_l2
-from gevreymhd.radius import RadiusModel
+from gevreymhd.radius import (
+    RadiusModel,
+    cumulative_integral,
+    gronwall_majorant,
+    integrate_radius,
+    radius_lower_bound,
+)
 from gevreymhd.solver import (
     StepError,
     cfl_timestep,
@@ -204,3 +210,33 @@ class TestRunLoop:
         assert [r.energy for r in redone] == [r.energy for r in res.records]
         # weaker constants -> slower decay
         assert redone[-1].tau > res.records[-1].tau
+
+    def test_tracker_equals_whole_history_pipeline(self):
+        st = taylor_green_mhd(Grid(16))
+        res = run(st, params=smooth_params(), t_end=0.1, dt=0.01, cadence=1,
+                  model=RadiusModel(C=1.0, tau0=0.1))
+        redone = recompute_radius(res.records, RadiusModel(C=0.5, tau0=0.1))
+        for records, C in ((res.records, 1.0), (redone, 0.5)):
+            model = RadiusModel(C=C, tau0=0.1)
+            first = records[0].norms
+            model.populate_from_initial(first.hr, first.x_norm)
+            times = [rec.t for rec in records]
+            grads = [rec.grad_sum for rec in records]
+            hrs = [rec.norms.hr for rec in records]
+            integral = cumulative_integral(times, grads)
+            majorant = gronwall_majorant(times, hrs, integral, C, 0.1,
+                                         first.x_norm)
+            taus = integrate_radius(times, C * np.asarray(grads),
+                                    C * (np.asarray(hrs) + majorant), 0.1)
+            assert [rec.tau for rec in records] == list(taus)
+            lower = [radius_lower_bound(t - times[0], model, I)
+                     for t, I in zip(times, integral)]
+            assert [rec.tau_lower for rec in records] == lower
+
+    def test_overflowing_majorant_is_a_radius_collapse(self):
+        # exp(C I(t)) overflows, which turned tau into NaN without a collapse
+        st = taylor_green_mhd(Grid(16))
+        res = run(st, params=smooth_params(), t_end=0.5, dt=0.01, cadence=2,
+                  model=RadiusModel(C=3e4, tau0=0.1))
+        assert res.status == "radius-collapse"
+        assert not any(np.isnan(rec.tau) for rec in res.records)

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -41,28 +37,6 @@ class TestBandExtraction:
 
 
 class TestMarginalKernels:
-    def test_backends_agree(self):
-        if triads.backend() != "numba":
-            pytest.skip("numba backend unavailable")
-        g = Grid(16)
-        st = random_band(g, seed=32, kmax=3)
-        A = triads.extract_band(st.u, 3)
-        B = triads.extract_band(st.h, 3)
-        C = triads.extract_band(curl(st.u), 3)
-        for m in (1, 2, 3):
-            p_np = triads._pair_marginal_numpy(A, B, C, 3, m)
-            p_nb = triads._pair_marginal_numba(A, B, C, 3, m)
-            np.testing.assert_allclose(p_nb, p_np, rtol=1e-12, atol=1e-12)
-
-    def test_numpy_fallback_env_flag(self):
-        code = (
-            "from gevreymhd import triads; print(triads.backend())"
-        )
-        env = dict(os.environ, GEVREYMHD_NO_NUMBA="1")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "numpy"
-
     def test_invalid_direction_rejected(self):
         g = Grid(16)
         st = random_band(g, seed=32, kmax=2)
