@@ -40,25 +40,22 @@ def _write_series(path: Path, records) -> None:
 
 
 def _write_spectrum(path: Path, state) -> None:
+    from .norms import shell_maxima
     from .operators import curl
+    from .solver import _pair_max_field
 
-    omega = curl(state.u)
-    current = curl(state.h)
+    pair = _pair_max_field(curl(state.u), curl(state.h))
     grid = state.grid
     k1, k2, k3 = grid.wavevectors()
     shells = (np.abs(k1) + np.abs(k2) + np.abs(k3)).ravel()
-    amp = np.maximum(
-        np.max(np.abs(omega.coeffs), axis=0),
-        np.max(np.abs(current.coeffs), axis=0),
-    ).ravel()
+    amp = np.max(np.abs(pair.coeffs), axis=0).ravel()
     absk1 = np.broadcast_to(np.abs(k1), (grid.n,) * 3).ravel()
-    nshell = int(shells.max()) + 1
+    amax = shell_maxima(pair)
+    nshell = len(amax)
     k1max = np.zeros(nshell)
-    amax = np.zeros(nshell)
     al2 = np.zeros(nshell)
     populated = amp > 0
     np.maximum.at(k1max, shells[populated], absk1[populated])
-    np.maximum.at(amax, shells, amp)
     np.add.at(al2, shells, amp**2)
     lines = [SPECTRUM_HEADER]
     for p in range(nshell):

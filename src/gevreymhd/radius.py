@@ -82,38 +82,42 @@ def integrate_radius(times, a_series, b_series, tau0: float,
         raise ValueError(f"tau0 must be > 0, got {tau0}")
     taus = np.empty_like(times)
     taus[0] = tau = tau0
-    for i in range(len(times) - 1):
-        t0, t1 = times[i], times[i + 1]
-        span = t1 - t0
-        da = a_series[i + 1] - a_series[i]
-        db = b_series[i + 1] - b_series[i]
+    # An overflowing majorant makes b infinite and its interpolation NaN
+    # (0 * inf); the collapse test below reports that, so numpy's own
+    # warnings are not raised.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(times) - 1):
+            t0, t1 = times[i], times[i + 1]
+            span = t1 - t0
+            da = a_series[i + 1] - a_series[i]
+            db = b_series[i + 1] - b_series[i]
 
-        def coeffs_at(t_local):
-            frac = t_local / span if span > 0 else 0.0
-            return a_series[i] + frac * da, b_series[i] + frac * db
+            def coeffs_at(t_local):
+                frac = t_local / span if span > 0 else 0.0
+                return a_series[i] + frac * da, b_series[i] + frac * db
 
-        t_local = 0.0
-        while t_local < span - 1e-15 * max(span, 1.0):
-            a_now, b_now = coeffs_at(t_local)
-            rate = a_now + b_now * tau
-            h = span / substeps
-            if rate > 0.0:
-                h = min(h, 0.2 / rate)
-            h = min(h, span - t_local)
-            a0, b0 = a_now, b_now
-            am, bm = coeffs_at(t_local + 0.5 * h)
-            a1, b1 = coeffs_at(t_local + h)
-            k1 = radius_rhs(tau, a0, b0)
-            k2 = radius_rhs(tau + 0.5 * h * k1, am, bm)
-            k3 = radius_rhs(tau + 0.5 * h * k2, am, bm)
-            k4 = radius_rhs(tau + h * k3, a1, b1)
-            tau = tau + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t_local += h
-            if not tau > 1e-300:  # also catches NaN from overflowing b
-                raise RadiusCollapse(
-                    f"radius collapsed at t={t0 + t_local:.6g}"
-                )
-        taus[i + 1] = tau
+            t_local = 0.0
+            while t_local < span - 1e-15 * max(span, 1.0):
+                a_now, b_now = coeffs_at(t_local)
+                rate = a_now + b_now * tau
+                h = span / substeps
+                if rate > 0.0:
+                    h = min(h, 0.2 / rate)
+                h = min(h, span - t_local)
+                a0, b0 = a_now, b_now
+                am, bm = coeffs_at(t_local + 0.5 * h)
+                a1, b1 = coeffs_at(t_local + h)
+                k1 = radius_rhs(tau, a0, b0)
+                k2 = radius_rhs(tau + 0.5 * h * k1, am, bm)
+                k3 = radius_rhs(tau + 0.5 * h * k2, am, bm)
+                k4 = radius_rhs(tau + h * k3, a1, b1)
+                tau = tau + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                t_local += h
+                if not tau > 1e-300:  # also catches NaN from overflowing b
+                    raise RadiusCollapse(
+                        f"radius collapsed at t={t0 + t_local:.6g}"
+                    )
+            taus[i + 1] = tau
     return taus
 
 
@@ -183,11 +187,14 @@ class RadiusTracker:
         """Take in the sample at time t and integrate tau up to it."""
         C, span = self.model.C, t - self.t
         self.integral += 0.5 * (grad_sum + self.grad_sum) * span
-        G = np.exp(C * self.integral)
-        weight = hr * hr / G
-        self.inner += 0.5 * (weight + self.weight) * span
-        majorant = G * (self.x0 + C * (1.0 + self.model.tau0) * self.inner)
-        a, b = C * grad_sum, C * (hr + majorant)
+        # G and the majorant may overflow to inf; integrate_radius then
+        # reports a collapse.
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = np.exp(C * self.integral)
+            weight = hr * hr / G
+            self.inner += 0.5 * (weight + self.weight) * span
+            majorant = G * (self.x0 + C * (1.0 + self.model.tau0) * self.inner)
+            a, b = C * grad_sum, C * (hr + majorant)
         if not self.collapsed:
             try:
                 self.tau = float(integrate_radius(

@@ -10,8 +10,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .norms import GevreyParams, NormRecord, RadiusFitError, fit_radius, state_norms, sup_gradient
-from .operators import advect, biot_savart, curl, gradient_physical, inner_l2
+from .norms import GevreyParams, NormRecord, RadiusFitError, fit_radius, state_norms
+from .operators import biot_savart, curl, gradient_physical, inner_l2
 from .radius import RadiusModel, RadiusTracker
 from .spectral import (
     MHDState,
@@ -90,22 +90,33 @@ def rhs_primitive(state: MHDState) -> Tendency:
 
 def _curl_tendency(u: SpectralField, h: SpectralField, omega: SpectralField,
                    current: SpectralField) -> Tendency:
-    """Vorticity/current tendency for given transporting fields, term by term.
+    """Vorticity/current tendency for given transporting fields.
 
     d omega = -(u.grad)omega + (h.grad)J + (omega.grad)u - (J.grad)h
     d J     = -(u.grad)J + (h.grad)omega + (omega.grad)h - (J.grad)u
+
+    Each field is transformed and differentiated once; one gradient tensor
+    is alive at a time, and its two products go into the physical-space sums.
     """
-    domega = SpectralField(
-        omega.grid,
-        -advect(u, omega).coeffs + advect(h, current).coeffs
-        + advect(omega, u).coeffs - advect(current, h).coeffs,
-    )
-    dcurrent = SpectralField(
-        omega.grid,
-        -advect(u, current).coeffs + advect(h, omega).coeffs
-        + advect(omega, h).coeffs - advect(current, u).coeffs,
-    )
-    return Tendency(domega, dcurrent)
+    grid = omega.grid
+    uphys, hphys = to_physical(u), to_physical(h)
+    wphys, jphys = to_physical(omega), to_physical(current)
+    dw = np.zeros_like(uphys)
+    dj = np.zeros_like(uphys)
+    # Each gradient enters one product in d omega and one in d J:
+    # (field differentiated, (transporter, sign) in d omega, same in d J).
+    for field, (a, sa), (b, sb) in (
+        (omega, (uphys, -1.0), (hphys, 1.0)),
+        (current, (hphys, 1.0), (uphys, -1.0)),
+        (u, (wphys, 1.0), (jphys, -1.0)),
+        (h, (jphys, -1.0), (wphys, 1.0)),
+    ):
+        grad = gradient_physical(field)
+        dw += sa * np.einsum("mxyz,mcxyz->cxyz", a, grad)
+        dj += sb * np.einsum("mxyz,mcxyz->cxyz", b, grad)
+        del grad
+    return Tendency(dealias(from_physical(grid, dw)),
+                    dealias(from_physical(grid, dj)))
 
 
 def rhs_curl(state: MHDState) -> Tendency:
@@ -150,8 +161,9 @@ def rhs_curl_pair(omega: SpectralField, current: SpectralField) -> Tendency:
 def _rk4(tendency, y0: tuple, t: float, dt: float, what: str) -> tuple:
     """One classical RK4 step over a tuple of coefficient arrays.
 
-    tendency(arrays, t) returns the tuple of time derivatives; a non-finite
-    stage tendency raises StepError naming `what`.
+    tendency(arrays, t) returns a tuple of new derivative arrays, which this
+    function may overwrite; a non-finite stage tendency raises StepError
+    naming `what`.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -164,12 +176,21 @@ def _rk4(tendency, y0: tuple, t: float, dt: float, what: str) -> tuple:
             )
         return k
 
-    k1 = stage(y0, t)
-    k2 = stage(tuple(y + 0.5 * dt * k for y, k in zip(y0, k1)), t + 0.5 * dt)
-    k3 = stage(tuple(y + 0.5 * dt * k for y, k in zip(y0, k2)), t + 0.5 * dt)
-    k4 = stage(tuple(y + dt * k for y, k in zip(y0, k3)), t + dt)
-    return tuple(y + dt / 6.0 * (a + 2 * b + 2 * c + d)
-                 for y, a, b, c, d in zip(y0, k1, k2, k3, k4))
+    # The update is y0 + dt/6 * (((k1 + 2 k2) + 2 k3) + k4), summed in that
+    # order into k1's arrays as each stage finishes, so only one stage
+    # derivative is alive at a time.  This is the textbook combination
+    # evaluated left to right, bit for bit, which the reference outputs of
+    # the primitive stepper depend on.
+    k = stage(y0, t)
+    total = k
+    for frac, weight in ((0.5, 2), (0.5, 2), (1.0, 1)):
+        y = tuple(yi + frac * dt * c for yi, c in zip(y0, k))
+        del k
+        k = stage(y, t + frac * dt)
+        del y
+        for acc, c in zip(total, k):
+            acc += weight * c
+    return tuple(yi + dt / 6.0 * acc for yi, acc in zip(y0, total))
 
 
 def step_rk4_curl(omega: SpectralField, current: SpectralField,
@@ -223,15 +244,24 @@ def cross_helicity(state: MHDState) -> float:
     return inner_l2(state.u, state.h)
 
 
+def _gradient_sups(v: SpectralField) -> tuple:
+    """Max-abs gradient entry and collocation max of |curl v|, one transform.
+
+    The curl is the antisymmetric part of the gradient tensor, whose entry
+    [m, c] is d_m v_c.
+    """
+    g = gradient_physical(v)
+    rot = np.stack((g[1, 2] - g[2, 1], g[2, 0] - g[0, 2], g[0, 1] - g[1, 0]))
+    return float(np.max(np.abs(g))), float(np.max(np.linalg.norm(rot, axis=0)))
+
+
 def _sample_diagnostics(state: MHDState, params: GevreyParams,
                         fit_s: float) -> tuple:
     omega = curl(state.u)
     current = curl(state.h)
-    grad_u = sup_gradient(state.u)
-    grad_h = sup_gradient(state.h)
+    grad_u, omega_sup = _gradient_sups(state.u)
+    grad_h, current_sup = _gradient_sups(state.h)
     norms = state_norms(omega, current, params, grad_u, grad_h)
-    omega_sup = float(np.max(np.linalg.norm(to_physical(omega), axis=0)))
-    current_sup = float(np.max(np.linalg.norm(to_physical(current), axis=0)))
     try:
         tau_fit = fit_radius(_pair_max_field(omega, current), fit_s)
     except RadiusFitError:

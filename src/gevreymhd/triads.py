@@ -10,9 +10,14 @@ The hot O(M^2) double loop over mode pairs is therefore factored into a
 pairwise marginal P[j_m, k_m] computed once per field triple, after which
 every weighted sum is a cheap contraction of P against a small weight table.
 
-The marginal is a numpy loop over the nonzero modes j of the first field,
-each contracting one shifted block of the third field against the second;
-its reduction order is fixed, so residuals are bit-reproducible.
+The marginal stays a direct sum over the triads of the band, with no FFT, so
+its comparison with the transform path stays independent.  It is computed
+as 2K+1 slab contractions, one per l_m: the third field, gathered at
+l = -j-k over the perpendicular plane, is contracted against the first in
+one matrix product and then against k (x) b for the pairs with
+j_m + k_m = -l_m.  The reduction order is fixed by the code and the BLAS
+build, so residuals are reproducible for a given numpy/BLAS build and
+thread count.
 """
 
 import numpy as np
@@ -64,33 +69,38 @@ def pair_marginal(A: np.ndarray, B: np.ndarray, C: np.ndarray, K: int,
     if m not in (1, 2, 3):
         raise ValueError(f"direction index m must be in 1..3, got {m}")
     size = 2 * K + 1
+    plane = size * size
+    # Axis m first, the perpendicular plane flattened: X[c, i_m, p].
+    a, b, c = (np.moveaxis(X, m, 1).reshape(3, size, plane) for X in (A, B, C))
+    kline = np.arange(-K, K + 1)
+    q1 = np.repeat(kline, size)
+    q2 = np.tile(kline, size)
+    # Flat index of -(p + q) in a zero-padded (4K+1)^2 plane centred on 2K,
+    # so cpad[l_m + K][gather[p, q]] = c_{(l_m, -(p+q))}, or 0 off the band.
+    wide = 4 * K + 1
+    gather = ((2 * K - q1[:, None] - q1[None, :]) * wide
+              + (2 * K - q2[:, None] - q2[None, :]))
+    cpad = np.zeros((size, wide, wide, 3), dtype=np.complex128)
+    cpad[:, K:3 * K + 1, K:3 * K + 1] = (
+        c.transpose(1, 2, 0).reshape(size, size, size, 3))
+    cpad = cpad.reshape(size, wide * wide, 3)
+    # kb[k_m, d, q, e] = k_d b^e_k with k = (k_m, q).
+    kvec = np.empty((3, size, plane))
+    kvec[m - 1] = kline[:, None]
+    perp = [d for d in range(3) if d != m - 1]
+    kvec[perp[0]] = q1
+    kvec[perp[1]] = q2
+    kb = (kvec.transpose(1, 0, 2)[:, :, :, None]
+          * b.transpose(1, 2, 0)[:, None, :, :]).reshape(size, 9 * plane)
+    amat = a.transpose(1, 0, 2).reshape(size * 3, plane)
     P = np.zeros((size, size), dtype=np.complex128)
-    # Cbig[u + 2K] = c_{-u} for |u| <= K, else 0; then c_{-j-k} is the
-    # contiguous block Cbig[j+K : j+3K+1] along each axis.
-    big = 4 * K + 1
-    Cbig = np.zeros((3, big, big, big), dtype=np.complex128)
-    Cbig[:, K:3 * K + 1, K:3 * K + 1, K:3 * K + 1] = C[:, ::-1, ::-1, ::-1]
-    kline = np.arange(-K, K + 1, dtype=np.float64)
-    kv = (
-        kline[:, None, None],
-        kline[None, :, None],
-        kline[None, None, :],
-    )
-    for j1 in range(-K, K + 1):
-        for j2 in range(-K, K + 1):
-            for j3 in range(-K, K + 1):
-                aj = A[:, j1 + K, j2 + K, j3 + K]
-                if aj[0] == 0 and aj[1] == 0 and aj[2] == 0:
-                    continue
-                ajk = aj[0] * kv[0] + aj[1] * kv[1] + aj[2] * kv[2]
-                cl = Cbig[:, j1 + K:j1 + 3 * K + 1,
-                          j2 + K:j2 + 3 * K + 1,
-                          j3 + K:j3 + 3 * K + 1]
-                bc = B[0] * cl[0] + B[1] * cl[1] + B[2] * cl[2]
-                g = ajk * bc
-                jm = (j1, j2, j3)[m - 1]
-                axes = tuple(ax for ax in range(3) if ax != m - 1)
-                P[jm + K, :] += g.sum(axis=axes)
+    for lm in range(-K, K + 1):
+        # t[j_m, d, q, e] = sum_p a^d_{(j_m, p)} c^e_{(l_m, -(p+q))}
+        block = cpad[lm + K][gather].reshape(plane, plane * 3)
+        t = (amat @ block).reshape(size, 9 * plane)
+        jm = np.arange(max(-K, -K - lm), min(K, K - lm) + 1)
+        km = -lm - jm
+        P[jm + K, km + K] = np.einsum("ix,ix->i", t[jm + K], kb[km + K])
     return P
 
 

@@ -46,6 +46,26 @@ def naive_weighted_trilinear(a_modes, b_modes, c_modes, m, r, tau, s):
     return 1j * (2.0 * np.pi) ** 3 * total
 
 
+def naive_pair_marginal(a_modes, b_modes, c_modes, K, m):
+    """P[j_m+K, k_m+K] = sum over j, k with l = -j-k of (a_j . k)(b_k . c_l).
+
+    Pure-python double loop over the mode dictionaries, which must lie in
+    the band |k_i| <= K; returns a (2K+1, 2K+1) complex array.
+    """
+    size = 2 * K + 1
+    P = np.zeros((size, size), dtype=np.complex128)
+    for j, aj in a_modes.items():
+        for k, bk in b_modes.items():
+            l = (-j[0] - k[0], -j[1] - k[1], -j[2] - k[2])
+            cl = c_modes.get(l)
+            if cl is None:
+                continue
+            ajk = aj[0] * k[0] + aj[1] * k[1] + aj[2] * k[2]
+            bc = bk[0] * cl[0] + bk[1] * cl[1] + bk[2] * cl[2]
+            P[j[m - 1] + K, k[m - 1] + K] += ajk * bc
+    return P
+
+
 def quadrature_inner(fphys, gphys, n):
     """(2pi/n)^3 sum over collocation points of f . g."""
     return float((2.0 * np.pi / n) ** 3 * np.sum(fphys * gphys))

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from gevreymhd.norms import GevreyParams
-from gevreymhd.operators import curl, inner_l2
+from gevreymhd.operators import advect, biot_savart, curl, inner_l2
 from gevreymhd.radius import (
     RadiusModel,
     cumulative_integral,
@@ -28,6 +30,8 @@ from gevreymhd.spectral import (
     Grid,
     MHDState,
     SpectralField,
+    dealias,
+    leray_project,
     random_band,
     taylor_green_mhd,
 )
@@ -55,8 +59,6 @@ class TestTendencies:
         # the transport-only current tendency differs from the curl of the
         # induction tendency by an O(1) cross-gradient term; with the
         # explicit correction the identity closes to roundoff
-        from gevreymhd.operators import advect
-
         st = random_band(Grid(16), seed=41, kmax=4, amplitude=0.3)
         tp = rhs_primitive(st)
         tc = rhs_curl(st)
@@ -101,6 +103,30 @@ class TestStepping:
         assert order1 >= 3.8
         assert order2 >= 3.8
 
+    def test_step_is_bitwise_the_textbook_combination(self):
+        st = taylor_green_mhd(Grid(16))
+        dt = 0.01
+
+        def f(u, h, t):
+            tend = rhs_primitive(MHDState(SpectralField(st.grid, u),
+                                          SpectralField(st.grid, h), t))
+            return tend.du.coeffs, tend.dh.coeffs
+
+        u0, h0 = st.u.coeffs, st.h.coeffs
+        k1u, k1h = f(u0, h0, 0.0)
+        k2u, k2h = f(u0 + 0.5 * dt * k1u, h0 + 0.5 * dt * k1h, 0.5 * dt)
+        k3u, k3h = f(u0 + 0.5 * dt * k2u, h0 + 0.5 * dt * k2h, 0.5 * dt)
+        k4u, k4h = f(u0 + dt * k3u, h0 + dt * k3h, dt)
+        u1 = u0 + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
+        h1 = h0 + dt / 6.0 * (k1h + 2 * k2h + 2 * k3h + k4h)
+        out = step_rk4(st, dt)
+        assert np.array_equal(
+            out.u.coeffs,
+            dealias(leray_project(SpectralField(st.grid, u1))).coeffs)
+        assert np.array_equal(
+            out.h.coeffs,
+            dealias(leray_project(SpectralField(st.grid, h1))).coeffs)
+
     def test_step_rejects_bad_dt(self):
         st = taylor_green_mhd(Grid(16))
         with pytest.raises(ValueError):
@@ -143,6 +169,28 @@ class TestStepping:
         # the systems differ only through the current coupling, so the
         # vorticity gap shrinks at second order in dt
         assert diffs[1] < 0.3 * diffs[0]
+
+    def test_curl_tendencies_equal_term_by_term_advection(self):
+        st = random_band(Grid(16), seed=42, kmax=4, amplitude=0.3)
+        omega, current = curl(st.u), curl(st.h)
+        # the pair is perturbed off the curl of (u, h) so that
+        # rhs_curl_pair recovers different transporting fields
+        omega.coeffs *= 1.3
+        cases = (
+            (rhs_curl(st), st.u, st.h, curl(st.u), curl(st.h)),
+            (rhs_curl_pair(omega, current),
+             biot_savart(leray_project(omega)),
+             biot_savart(leray_project(current)), omega, current),
+        )
+        for tend, u, h, w, j in cases:
+            dw = (-advect(u, w).coeffs + advect(h, j).coeffs
+                  + advect(w, u).coeffs - advect(j, h).coeffs)
+            dj = (-advect(u, j).coeffs + advect(h, w).coeffs
+                  + advect(w, h).coeffs - advect(j, u).coeffs)
+            for got, want in ((tend.du.coeffs, dw), (tend.dh.coeffs, dj)):
+                scale = np.max(np.abs(want))
+                assert scale > 0
+                assert np.max(np.abs(got - want)) < 1e-12 * scale
 
     def test_curl_pair_tendency_vorticity_solenoidal(self):
         st = taylor_green_mhd(Grid(16))
@@ -235,8 +283,11 @@ class TestRunLoop:
 
     def test_overflowing_majorant_is_a_radius_collapse(self):
         # exp(C I(t)) overflows, which turned tau into NaN without a collapse
+        # and numpy's overflow warnings reached the user ahead of the status
         st = taylor_green_mhd(Grid(16))
-        res = run(st, params=smooth_params(), t_end=0.5, dt=0.01, cadence=2,
-                  model=RadiusModel(C=3e4, tau0=0.1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = run(st, params=smooth_params(), t_end=0.5, dt=0.01,
+                      cadence=2, model=RadiusModel(C=3e4, tau0=0.1))
         assert res.status == "radius-collapse"
         assert not any(np.isnan(rec.tau) for rec in res.records)

@@ -3,10 +3,10 @@ import pytest
 
 from gevreymhd import triads
 from gevreymhd.operators import MultiplierSpec, curl
-from gevreymhd.spectral import Grid, random_band
+from gevreymhd.spectral import Grid, random_band, random_band_field
 from gevreymhd.lab import transform_trilinear
 
-from oracles import field_to_modes, naive_weighted_trilinear
+from oracles import field_to_modes, naive_pair_marginal, naive_weighted_trilinear
 
 
 class TestBandExtraction:
@@ -43,6 +43,20 @@ class TestMarginalKernels:
         A = triads.extract_band(st.u, 2)
         with pytest.raises(ValueError):
             triads.pair_marginal(A, A, A, 2, 0)
+
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_matches_per_entry_python_oracle(self, m):
+        g = Grid(16)
+        st = random_band(g, seed=35, kmax=3)
+        third = random_band_field(g, 36, 3, solenoidal=False)
+        fields = (st.u, st.h, third)
+        modes = [field_to_modes(f, tol=0.0) for f in fields]
+        cubes = [triads.extract_band(f, 3) for f in fields]
+        P = triads.pair_marginal(*cubes, 3, m)
+        oracle = naive_pair_marginal(*modes, 3, m)
+        assert np.max(np.abs(oracle)) > 0
+        np.testing.assert_allclose(P, oracle, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(oracle)))
 
 
 class TestBruteForceValues:
