@@ -10,6 +10,7 @@ from .norms import (
     GevreyParams,
     NormRecord,
     RadiusFitError,
+    SubcriticalWarning,
     fit_radius,
     gevrey_norm,
     shell_maxima,

@@ -8,6 +8,7 @@ variable GEVREYMHD_OUTPUT_DIR; no other setting is overridable.
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -71,17 +72,30 @@ def _build_state(config):
     return init_state(config.kind, grid, **config.initial_params())
 
 
-def _execute_run(config, state, start_tau: float | None = None) -> int:
+def _execute_run(config, config_path: str, state,
+                 start_tau: float | None = None) -> int:
+    from .norms import SubcriticalWarning
     from .radius import RadiusModel, cumulative_integral, estimate_C_tilde
     from .solver import recompute_radius, run
+
+    show = warnings.showwarning
+
+    def show_warning(message, category, *args, **kwargs):
+        # r comes from the config, so name the config, not library code.
+        if issubclass(category, SubcriticalWarning):
+            print(f"warning: {config_path}: {message}", file=sys.stderr)
+        else:
+            show(message, category, *args, **kwargs)
 
     tau0 = start_tau if start_tau is not None else config.params.tau
     fit_requested = config.c == "fit"
     model = RadiusModel(C=1.0 if fit_requested else float(config.c), tau0=tau0)
-    result = run(
-        state, params=config.params, t_end=config.t_end, dt=config.dt,
-        cfl=config.cfl, cadence=config.cadence, model=model,
-    )
+    with warnings.catch_warnings():
+        warnings.showwarning = show_warning
+        result = run(
+            state, params=config.params, t_end=config.t_end, dt=config.dt,
+            cfl=config.cfl, cadence=config.cadence, model=model,
+        )
     records = result.records
     if fit_requested and len(records) >= 10:
         times = [rec.t for rec in records]
@@ -116,7 +130,7 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     state = _build_state(config)
-    return _execute_run(config, state)
+    return _execute_run(config, args.config, state)
 
 
 def cmd_resume(args) -> int:
@@ -147,7 +161,7 @@ def cmd_resume(args) -> int:
             file=sys.stderr,
         )
         return 1
-    return _execute_run(config, state, start_tau=tau)
+    return _execute_run(config, args.config, state, start_tau=tau)
 
 
 def cmd_fit_radius(args) -> int:

@@ -17,6 +17,10 @@ class RadiusFitError(ValueError):
     """Not enough populated spectral shells to fit a decay rate."""
 
 
+class SubcriticalWarning(UserWarning):
+    """r is at or below the threshold the radius theory assumes."""
+
+
 @dataclass(frozen=True)
 class GevreyParams:
     """Regularity triple (r, s, tau) for the weighted spaces."""
@@ -33,14 +37,19 @@ class GevreyParams:
         if self.tau < 0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
 
-    def warn_if_subcritical(self):
-        """The radius theory assumes r > 5/2 + 3/(2s); warn, do not reject."""
+    def warn_if_subcritical(self, stacklevel: int = 2):
+        """The radius theory assumes r > 5/2 + 3/(2s); warn, do not reject.
+
+        The warning is attributed to the frame `stacklevel` levels up, as in
+        `warnings.warn`: by default the caller of this method.
+        """
         threshold = 2.5 + 1.5 / self.s
         if self.r <= threshold:
             warnings.warn(
                 f"r={self.r} is below the regularity threshold "
                 f"5/2 + 3/(2s) = {threshold:.4f} for s={self.s}",
-                stacklevel=2,
+                SubcriticalWarning,
+                stacklevel=stacklevel,
             )
 
 

@@ -14,6 +14,7 @@ from .spectral import (
     Grid,
     GridError,
     SpectralField,
+    _transform_components,
     dealias,
     from_physical,
     to_physical,
@@ -141,11 +142,16 @@ def gradient_physical(b: SpectralField) -> np.ndarray:
     Entry [m, c] is d b_c / d x_m.
     """
     n = b.grid.n
-    k1, k2, k3 = b.grid.wavevectors()
+    ik = [1j * km for km in b.grid.wavevectors()]
     out = np.empty((3, 3, n, n, n))
-    for m, km in enumerate((k1, k2, k3)):
-        db = 1j * km * b.coeffs
-        out[m] = (np.fft.ifftn(db, axes=(1, 2, 3)) * n**3).real
+
+    def job(i, buf):
+        m, c = divmod(i, 3)
+        np.multiply(ik[m], b.coeffs[c], out=buf)
+        np.fft.ifftn(buf, out=buf)
+        np.multiply(buf.real, n**3, out=out[m, c])
+
+    _transform_components(n, 9, job, scratch=True)
     return out
 
 

@@ -54,7 +54,7 @@ class DiagnosticsRecord:
 class RunResult:
     records: list
     state: MHDState
-    status: str  # "completed" | "blow-up" | "radius-collapse"
+    status: str  # "completed" | "blow-up" | "radius-collapse" | "non-finite"
     model: RadiusModel | None = None
 
 
@@ -300,11 +300,14 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
     The radius tracker advances at the same cadence using the measured
     gradient sup-norms, Sobolev norm and Gronwall majorant.  The run aborts
     with status "blow-up" when the continuation-criterion integrand grows by
-    more than blowup_factor from its initial value.
+    more than blowup_factor from its initial value, and with status
+    "non-finite" when a step produces non-finite values; the state returned
+    is then the one before that step, and the records end at the last
+    sample.
     """
     if (dt is None) == (cfl is None):
         raise ValueError("exactly one of dt and cfl must be given")
-    params.warn_if_subcritical()
+    params.warn_if_subcritical(stacklevel=3)
     if model is None:
         model = RadiusModel(tau0=params.tau if params.tau > 0 else 1.0)
     fit_s = params.s
@@ -325,7 +328,11 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
             step_dt = min(cfl_timestep(state, cfl), t_end - state.t)
         else:
             step_dt = min(dt, t_end - state.t)
-        state = step_rk4(state, step_dt)
+        try:
+            state = step_rk4(state, step_dt)
+        except StepError:
+            status = "non-finite"
+            break
         steps_done += 1
         if steps_done % cadence != 0 and state.t < t_end - 1e-12:
             continue

@@ -8,8 +8,22 @@ physical field c * exp(i k.x) + conj(c) * exp(-i k.x).  Real fields are kept
 real by enforcing Hermitian symmetry explicitly rather than using a
 half-spectrum layout; the signed-k index arithmetic needed by the triad
 verification code is then trivial.
+
+The 3-D transforms (`to_physical`, `from_physical` and
+`operators.gradient_physical`) make one numpy FFT call per field component,
+in place in arrays the caller allocated.  On grids with n >= 64 the
+components are split into one contiguous group per CPU in the process's
+affinity mask; the calling thread runs one group and a module-level thread
+pool, created on first use, runs the others.  numpy's transforms release the
+interpreter lock, so the groups run in parallel.  Smaller grids run every
+component on the calling thread, as a second thread gained little or lost
+there.  A transform over the component axis computes each component with
+the same arithmetic as a call on that component alone, so the outputs are
+bit-identical to it, and to each other for any thread count.
 """
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,11 +126,83 @@ def symmetrize(v: SpectralField) -> SpectralField:
     return SpectralField(v.grid, c)
 
 
+# Smallest grid whose components are transformed on the thread pool.
+_POOL_MIN_N = 64
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _executor():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # Imported here: runs on small grids never pay for it.
+            from concurrent.futures import ThreadPoolExecutor
+
+            # The calling thread runs one group itself.
+            _pool = ThreadPoolExecutor(max(_cpu_count() - 1, 1),
+                                       thread_name_prefix="gevreymhd-fft")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool object but none of its threads.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _transform_components(n: int, count: int, job, scratch: bool) -> None:
+    """Call job(i, buf) for every component i in range(count) of an n^3 grid.
+
+    buf is an (n, n, n) complex scratch array owned by the component's group
+    (None without `scratch`); the caller allocates it, so worker threads
+    allocate nothing large, whose freed blocks glibc's per-thread arenas
+    would keep.  Groups are contiguous; the calling thread runs the first,
+    and an exception raised in any group reaches the caller.
+    """
+    groups = min(count, _cpu_count()) if n >= _POOL_MIN_N else 1
+    bounds = [count * g // groups for g in range(groups + 1)]
+    if scratch:
+        bufs = np.empty((groups, n, n, n), dtype=np.complex128)
+    else:
+        bufs = [None] * groups
+    # numpy's error state is per thread; the workers take the caller's.
+    err = np.geterr()
+
+    def run_group(g):
+        with np.errstate(**err):
+            for i in range(bounds[g], bounds[g + 1]):
+                job(i, bufs[g])
+
+    futures = [_executor().submit(run_group, g) for g in range(1, groups)]
+    run_group(0)
+    for future in futures:
+        future.result()
+
+
 def to_physical(v: SpectralField) -> np.ndarray:
     """Inverse transform to collocation samples, shape (3, n, n, n), real."""
     n = v.grid.n
-    phys = np.fft.ifftn(v.coeffs, axes=(1, 2, 3)) * n**3
-    return np.ascontiguousarray(phys.real)
+    out = np.empty((3, n, n, n))
+
+    def job(i, buf):
+        np.fft.ifftn(v.coeffs[i], out=buf)
+        np.multiply(buf.real, n**3, out=out[i])
+
+    _transform_components(n, 3, job, scratch=True)
+    return out
 
 
 def from_physical(grid: Grid, samples: np.ndarray) -> SpectralField:
@@ -127,7 +213,13 @@ def from_physical(grid: Grid, samples: np.ndarray) -> SpectralField:
         raise GridError(
             f"sample array shape {samples.shape} does not match grid n={n}"
         )
-    coeffs = np.fft.fftn(samples, axes=(1, 2, 3)) / n**3
+    coeffs = samples.astype(np.complex128)
+
+    def job(i, _):
+        np.fft.fftn(coeffs[i], out=coeffs[i])
+        np.divide(coeffs[i], n**3, out=coeffs[i])
+
+    _transform_components(n, 3, job, scratch=False)
     coeffs[:, 0, 0, 0] = 0.0
     return SpectralField(grid, coeffs)
 

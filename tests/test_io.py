@@ -156,17 +156,37 @@ class TestCli:
                              "hr_norm,x_norm,y_norm,tau,tau_fit,tau_lower")
         assert len(series) == 1 + 2  # header + samples at t=0, 0.05
 
-    def test_subcritical_warning_reaches_stderr(self, tmp_path):
-        # BASE_CFG has r = 3 <= 5/2 + 3/(2s) = 4 at s = 1
-        cfg = write_cfg(tmp_path, BASE_CFG.format(outdir=tmp_path / "out"))
+    @staticmethod
+    def run_subprocess(*argv):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))))
-        out = subprocess.run([sys.executable, "-m", "gevreymhd.cli", "run",
-                              str(cfg)], env=env, capture_output=True,
-                             text=True)
+        return subprocess.run([sys.executable, "-m", "gevreymhd.cli", *argv],
+                              env=env, capture_output=True, text=True)
+
+    def test_subcritical_warning_reaches_stderr(self, tmp_path):
+        # BASE_CFG has r = 3 <= 5/2 + 3/(2s) = 4 at s = 1
+        cfg = write_cfg(tmp_path, BASE_CFG.format(outdir=tmp_path / "out"))
+        out = self.run_subprocess("run", str(cfg))
         assert out.returncode == 0
-        assert "regularity threshold" in out.stderr
+        lines = [ln for ln in out.stderr.splitlines()
+                 if "regularity threshold" in ln]
+        assert lines == [f"warning: {cfg}: r=3.0 is below the regularity "
+                         "threshold 5/2 + 3/(2s) = 4.0000 for s=1.0"]
+        assert "solver.py" not in out.stderr
+
+    def test_non_finite_step_exits_two_with_partial_series(self, tmp_path):
+        text = BASE_CFG.format(outdir=tmp_path / "out").replace(
+            "kind = taylor-green",
+            "kind = random-band\nseed = 0\nkmax = 2\namplitude = 1e3",
+        ).replace("t_end = 0.05\ndt = 0.01", "t_end = 1.0\ndt = 0.1").replace(
+            "r = 3.0", "r = 4.5") + "\n[radius]\nc = 1e-30\n"
+        out = self.run_subprocess("run", str(write_cfg(tmp_path, text)))
+        assert out.returncode == 2
+        assert "status: non-finite" in out.stdout
+        assert "Traceback" not in out.stderr
+        series = (tmp_path / "out" / "series.csv").read_text().splitlines()
+        assert series[1].startswith("0,")
 
     def test_run_with_bad_config_exits_one(self, tmp_path, capsys):
         text = BASE_CFG.format(outdir=tmp_path).replace("n = 16", "n = 100")

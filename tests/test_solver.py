@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gevreymhd.norms import GevreyParams
+from gevreymhd.norms import GevreyParams, SubcriticalWarning
 from gevreymhd.operators import advect, biot_savart, curl, inner_l2
 from gevreymhd.radius import (
     RadiusModel,
@@ -280,6 +280,24 @@ class TestRunLoop:
             lower = [radius_lower_bound(t - times[0], model, I)
                      for t, I in zip(times, integral)]
             assert [rec.tau_lower for rec in records] == lower
+
+    def test_non_finite_step_ends_run_with_last_finite_state(self):
+        st = random_band(Grid(16), seed=0, kmax=2, amplitude=1e3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = run(st, params=GevreyParams(r=4.5, tau=0.1), t_end=1.0,
+                      dt=0.1, cadence=5, model=RadiusModel(C=1e-30, tau0=0.1))
+        assert res.status == "non-finite"
+        assert [rec.t for rec in res.records] == [0.0]
+        assert res.state.t == pytest.approx(0.1)
+        assert np.all(np.isfinite(res.state.u.coeffs))
+        assert np.all(np.isfinite(res.state.h.coeffs))
+
+    def test_subcritical_warning_names_the_callers_line(self):
+        st = taylor_green_mhd(Grid(8))
+        with pytest.warns(SubcriticalWarning) as caught:
+            run(st, params=smooth_params(), t_end=0.01, dt=0.01)
+        assert caught[0].filename == __file__
 
     def test_overflowing_majorant_is_a_radius_collapse(self):
         # exp(C I(t)) overflows, which turned tau into NaN without a collapse

@@ -1,6 +1,12 @@
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
+from gevreymhd import spectral
+from gevreymhd.operators import gradient_physical
+from gevreymhd.solver import rhs_primitive
 from gevreymhd.spectral import (
     Grid,
     GridError,
@@ -178,3 +184,103 @@ class TestInitialData:
         assert isinstance(init_state("random-band", g, seed=1, kmax=2), MHDState)
         with pytest.raises(ValueError):
             init_state("vortex", g)
+
+
+class TestPooledTransforms:
+    """Grids with n >= 64 transform their components on a thread pool."""
+
+    N = 64
+
+    @staticmethod
+    def random_field(n):
+        rng = np.random.default_rng(7)
+        shape = (3, n, n, n)
+        return SpectralField(Grid(n), rng.standard_normal(shape)
+                             + 1j * rng.standard_normal(shape))
+
+    @pytest.fixture
+    def field(self):
+        return self.random_field(self.N)
+
+    @staticmethod
+    def force_cpus(monkeypatch, count):
+        # A fresh pool, sized for `count`, replaces any pool made so far.
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: count)
+        monkeypatch.setattr(spectral, "_pool", None)
+
+    @pytest.mark.parametrize("n, cpus", [(16, None), (64, None), (64, 1),
+                                         (64, 2), (64, 4)])
+    def test_equal_to_batched_numpy_calls(self, n, cpus, monkeypatch):
+        if cpus is not None:
+            self.force_cpus(monkeypatch, cpus)
+        field = self.random_field(n)
+        c = field.coeffs
+        samples = np.ascontiguousarray((np.fft.ifftn(c, axes=(1, 2, 3))
+                                        * n**3).real)
+        assert np.array_equal(to_physical(field), samples)
+        coeffs = np.fft.fftn(samples, axes=(1, 2, 3)) / n**3
+        coeffs[:, 0, 0, 0] = 0.0
+        assert np.array_equal(from_physical(field.grid, samples).coeffs,
+                              coeffs)
+        grad = gradient_physical(field)
+        for m, km in enumerate(field.grid.wavevectors()):
+            assert np.array_equal(
+                grad[m], (np.fft.ifftn(1j * km * c, axes=(1, 2, 3))
+                          * n**3).real)
+
+    def test_tendency_independent_of_thread_count(self, monkeypatch):
+        state = taylor_green_mhd(Grid(self.N))
+        default = rhs_primitive(state)
+        for cpus in (1, 3):
+            self.force_cpus(monkeypatch, cpus)
+            tend = rhs_primitive(state)
+            assert np.array_equal(tend.du.coeffs, default.du.coeffs)
+            assert np.array_equal(tend.dh.coeffs, default.dh.coeffs)
+
+    def test_worker_exception_reaches_caller(self, field, monkeypatch):
+        self.force_cpus(monkeypatch, 2)
+        error = MemoryError("raised in a worker")
+        ifftn = np.fft.ifftn
+
+        def failing_off_main_thread(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise error
+            return ifftn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifftn", failing_off_main_thread)
+        with pytest.raises(MemoryError) as caught:
+            to_physical(field)
+        assert caught.value is error
+
+    def test_workers_take_callers_error_state(self, monkeypatch):
+        # With two groups, component 2 is transformed by the worker.
+        self.force_cpus(monkeypatch, 2)
+        v = SpectralField.zeros(Grid(self.N))
+        v.coeffs[2, 1, 1, 1] = np.inf
+        with np.errstate(invalid="raise"):
+            with pytest.raises(FloatingPointError):
+                to_physical(v)
+
+    def test_one_cpu_starts_no_thread(self, field, monkeypatch):
+        self.force_cpus(monkeypatch, 1)
+        before = threading.active_count()
+        to_physical(field)
+        from_physical(field.grid, to_physical(field))
+        gradient_physical(field)
+        assert threading.active_count() == before
+        assert spectral._pool is None
+
+    def test_forked_child_gets_a_new_pool(self, field, monkeypatch):
+        self.force_cpus(monkeypatch, 2)
+        to_physical(field)
+        assert spectral._pool is not None
+        child = multiprocessing.get_context("fork").Process(
+            target=to_physical, args=(field,))
+        child.start()
+        child.join(timeout=60)
+        try:
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
