@@ -37,11 +37,11 @@ class GevreyParams:
         if self.tau < 0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
 
-    def warn_if_subcritical(self, stacklevel: int = 2):
+    def warn_if_subcritical(self):
         """The radius theory assumes r > 5/2 + 3/(2s); warn, do not reject.
 
-        The warning is attributed to the frame `stacklevel` levels up, as in
-        `warnings.warn`: by default the caller of this method.
+        `solver.run` calls this, so the warning is attributed to the caller
+        of `run`, two frames up.
         """
         threshold = 2.5 + 1.5 / self.s
         if self.r <= threshold:
@@ -49,7 +49,7 @@ class GevreyParams:
                 f"r={self.r} is below the regularity threshold "
                 f"5/2 + 3/(2s) = {threshold:.4f} for s={self.s}",
                 SubcriticalWarning,
-                stacklevel=stacklevel,
+                stacklevel=3,
             )
 
 

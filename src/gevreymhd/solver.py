@@ -302,12 +302,11 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
     with status "blow-up" when the continuation-criterion integrand grows by
     more than blowup_factor from its initial value, and with status
     "non-finite" when a step produces non-finite values; the state returned
-    is then the one before that step, and the records end at the last
-    sample.
+    is then the one before that step, and the last record samples it.
     """
     if (dt is None) == (cfl is None):
         raise ValueError("exactly one of dt and cfl must be given")
-    params.warn_if_subcritical(stacklevel=3)
+    params.warn_if_subcritical()
     if model is None:
         model = RadiusModel(tau0=params.tau if params.tau > 0 else 1.0)
     fit_s = params.s
@@ -320,6 +319,17 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
         bkm_integrand=bkm, grad_sum=grad_sum, norms=norms,
         tau=model.tau0, tau_fit=tau_fit, tau_lower=model.tau0,
     )]
+
+    def sample(state: MHDState) -> float:
+        norms, bkm, grad_sum, tau_fit = _sample_diagnostics(state, params, fit_s)
+        tracker.advance(state.t, grad_sum, norms.hr)
+        records.append(DiagnosticsRecord(
+            t=state.t, energy=energy(state),
+            cross_helicity=cross_helicity(state),
+            bkm_integrand=bkm, grad_sum=grad_sum, norms=norms,
+            tau=tracker.tau, tau_fit=tau_fit, tau_lower=tracker.tau_lower,
+        ))
+        return bkm
 
     status = "completed"
     steps_done = 0
@@ -337,18 +347,15 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
         if steps_done % cadence != 0 and state.t < t_end - 1e-12:
             continue
 
-        norms, bkm, grad_sum, tau_fit = _sample_diagnostics(state, params, fit_s)
-        tracker.advance(state.t, grad_sum, norms.hr)
-        records.append(DiagnosticsRecord(
-            t=state.t, energy=energy(state),
-            cross_helicity=cross_helicity(state),
-            bkm_integrand=bkm, grad_sum=grad_sum, norms=norms,
-            tau=tracker.tau, tau_fit=tau_fit, tau_lower=tracker.tau_lower,
-        ))
+        bkm = sample(state)
         if tracker.collapsed:
             status = "radius-collapse"
             break
         if bkm > blowup_factor * bkm0:
             status = "blow-up"
             break
+    if status == "non-finite" and records[-1].t != state.t:
+        # The series, spectrum and checkpoint written from the result must
+        # all describe the returned state, so sample it off cadence.
+        sample(state)
     return RunResult(records, state, status, model)

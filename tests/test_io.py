@@ -180,13 +180,22 @@ class TestCli:
             "kind = taylor-green",
             "kind = random-band\nseed = 0\nkmax = 2\namplitude = 1e3",
         ).replace("t_end = 0.05\ndt = 0.01", "t_end = 1.0\ndt = 0.1").replace(
-            "r = 3.0", "r = 4.5") + "\n[radius]\nc = 1e-30\n"
+            "r = 3.0", "r = 4.5").replace(
+            "[output]\n", "[output]\ncheckpoint = state.gmhd\n",
+        ) + "\n[radius]\nc = 1e-30\n"
         out = self.run_subprocess("run", str(write_cfg(tmp_path, text)))
         assert out.returncode == 2
         assert "status: non-finite" in out.stdout
         assert "Traceback" not in out.stderr
         series = (tmp_path / "out" / "series.csv").read_text().splitlines()
         assert series[1].startswith("0,")
+        # the checkpoint holds the last series row's state and radius
+        header = series[0].split(",")
+        last = dict(zip(header, series[-1].split(",")))
+        state, _params, tau = load_checkpoint(tmp_path / "out" / "state.gmhd")
+        assert state.t > 0
+        assert state.t == float(last["t"])
+        assert tau == float(last["tau"])
 
     def test_run_with_bad_config_exits_one(self, tmp_path, capsys):
         text = BASE_CFG.format(outdir=tmp_path).replace("n = 16", "n = 100")
