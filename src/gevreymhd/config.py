@@ -4,59 +4,60 @@ Unknown keys are rejected; missing required keys are reported all at once.
 """
 
 import configparser
-from dataclasses import dataclass
 from pathlib import Path
 
 from .norms import GevreyParams
+from .spectral import INITIAL_CONDITIONS
 
 
 class ConfigError(ValueError):
     """Invalid, unknown or missing configuration content."""
 
 
-_SCHEMA = {
-    "grid": {"n": True},
-    "initial": {"kind": True, "amplitude": False, "beta": False,
-                "seed": False, "kmax": False},
-    "time": {"t_end": True, "dt": False, "cfl": False, "cadence": False},
-    "gevrey": {"r": True, "s": False, "tau0": True},
-    "radius": {"c": False},
-    "output": {"directory": False, "series": False, "spectra": False,
-               "checkpoint": False},
+def _c_value(raw: str):
+    return raw if raw == "fit" else float(raw)
+
+
+REQUIRED = object()  # default of a key the file must set
+
+# section -> key -> (cast, default).  Key names are unique across sections,
+# as each becomes a RunConfig attribute of the same name.
+SCHEMA = {
+    "grid": {"n": (int, REQUIRED)},
+    "initial": {"kind": (str, REQUIRED), "amplitude": (float, 1.0),
+                "beta": (float, 0.8), "seed": (int, 0), "kmax": (int, 2)},
+    "time": {"t_end": (float, REQUIRED), "dt": (float, None),
+             "cfl": (float, None), "cadence": (int, 1)},
+    "gevrey": {"r": (float, REQUIRED), "s": (float, 1.0),
+               "tau0": (float, REQUIRED)},
+    "radius": {"c": (_c_value, 1.0)},
+    "output": {"directory": (str, "."), "series": (str, "series.csv"),
+               "spectra": (str, ""), "checkpoint": (str, "")},
 }
-_KINDS = ("taylor-green", "orszag-tang", "random-band")
 
 
-@dataclass
 class RunConfig:
-    """Validated contents of a run configuration file."""
+    """Validated contents of a run configuration file.
 
-    n: int
-    kind: str
-    t_end: float
-    params: GevreyParams
-    dt: float | None = None
-    cfl: float | None = None
-    cadence: int = 1
-    amplitude: float = 1.0
-    beta: float = 0.8
-    seed: int = 0
-    kmax: int = 2
-    c: float | str = 1.0
-    directory: str = "."
-    series: str = "series.csv"
-    spectra: str = ""
-    checkpoint: str = ""
+    Every key of SCHEMA is an attribute of the same name; `params` holds
+    gevrey.r, gevrey.s and gevrey.tau0 as a GevreyParams.
+    """
 
-    def __post_init__(self):
+    def __init__(self, **values):
+        self.__dict__.update(values)
+        try:
+            self.params = GevreyParams(r=self.r, s=self.s, tau=self.tau0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         errors = []
         if self.n < 8 or self.n > 512 or (self.n & (self.n - 1)) != 0:
             errors.append(
                 f"grid.n must be a power of two in [8, 512], got {self.n}"
             )
-        if self.kind not in _KINDS:
+        kinds = tuple(INITIAL_CONDITIONS)
+        if self.kind not in kinds:
             errors.append(
-                f"initial.kind must be one of {_KINDS}, got {self.kind!r}"
+                f"initial.kind must be one of {kinds}, got {self.kind!r}"
             )
         if self.t_end <= 0:
             errors.append(f"time.t_end must be > 0, got {self.t_end}")
@@ -77,25 +78,9 @@ class RunConfig:
             raise ConfigError("; ".join(errors))
 
     def initial_params(self) -> dict:
-        if self.kind == "taylor-green":
-            return {"amplitude": self.amplitude}
-        if self.kind == "orszag-tang":
-            return {"beta": self.beta}
-        return {"seed": self.seed, "kmax": self.kmax,
-                "amplitude": self.amplitude}
-
-
-def _get(parser, section, key, cast, default=None, required=False,
-         missing=None):
-    if parser.has_option(section, key):
-        raw = parser.get(section, key)
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{section}.{key}: {exc}") from exc
-    if required:
-        missing.append(f"{section}.{key}")
-    return default
+        """Keyword arguments of `spectral.init_state` for this kind."""
+        _build, keys = INITIAL_CONDITIONS[self.kind]
+        return {key: getattr(self, key) for key in keys}
 
 
 def load_config(path) -> RunConfig:
@@ -111,53 +96,27 @@ def load_config(path) -> RunConfig:
 
     unknown = []
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in SCHEMA:
             unknown.append(f"[{section}]")
             continue
         for key in parser.options(section):
-            if key not in _SCHEMA[section]:
+            if key not in SCHEMA[section]:
                 unknown.append(f"{section}.{key}")
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
 
-    missing: list[str] = []
-    n = _get(parser, "grid", "n", int, required=True, missing=missing)
-    kind = _get(parser, "initial", "kind", str, required=True, missing=missing)
-    t_end = _get(parser, "time", "t_end", float, required=True, missing=missing)
-    r = _get(parser, "gevrey", "r", float, required=True, missing=missing)
-    tau0 = _get(parser, "gevrey", "tau0", float, required=True, missing=missing)
+    values, missing = {}, []
+    for section, keys in SCHEMA.items():
+        for key, (cast, default) in keys.items():
+            if not parser.has_option(section, key):
+                if default is REQUIRED:
+                    missing.append(f"{section}.{key}")
+                values[key] = default
+                continue
+            try:
+                values[key] = cast(parser.get(section, key))
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{key}: {exc}") from exc
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-
-    def c_value(raw: str):
-        return raw if raw == "fit" else float(raw)
-
-    try:
-        params = GevreyParams(
-            r=r, s=_get(parser, "gevrey", "s", float, 1.0), tau=tau0
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
-        return RunConfig(
-            n=n,
-            kind=kind,
-            t_end=t_end,
-            params=params,
-            dt=_get(parser, "time", "dt", float),
-            cfl=_get(parser, "time", "cfl", float),
-            cadence=_get(parser, "time", "cadence", int, 1),
-            amplitude=_get(parser, "initial", "amplitude", float, 1.0),
-            beta=_get(parser, "initial", "beta", float, 0.8),
-            seed=_get(parser, "initial", "seed", int, 0),
-            kmax=_get(parser, "initial", "kmax", int, 2),
-            c=_get(parser, "radius", "c", c_value, 1.0),
-            directory=_get(parser, "output", "directory", str, "."),
-            series=_get(parser, "output", "series", str, "series.csv"),
-            spectra=_get(parser, "output", "spectra", str, ""),
-            checkpoint=_get(parser, "output", "checkpoint", str, ""),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**values)

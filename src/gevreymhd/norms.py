@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import MultiplierSpec, gradient_physical, multiplier_weights
-from .spectral import SpectralField
+from .spectral import Grid, SpectralField
 
 
 class RadiusFitError(ValueError):
@@ -124,8 +124,6 @@ def sup_gradient(v: SpectralField, refine: int = 1) -> float:
 
 
 def _zero_pad(v: SpectralField, factor: int) -> SpectralField:
-    from .spectral import Grid
-
     n = v.grid.n
     big = Grid(factor * n)
     out = SpectralField.zeros(big)
@@ -162,18 +160,46 @@ def state_norms(omega: SpectralField, current: SpectralField,
     )
 
 
+def pair_max_field(omega: SpectralField, current: SpectralField) -> SpectralField:
+    """Mode-wise max-amplitude envelope of the pair, for radius fitting."""
+    amp = np.maximum(np.abs(omega.coeffs), np.abs(current.coeffs))
+    return SpectralField(omega.grid, amp.astype(np.complex128))
+
+
+def _shell_modes(v: SpectralField) -> tuple:
+    """|k|_1 shell index and largest component magnitude of every mode, flat."""
+    k1, k2, k3 = v.grid.wavevectors()
+    shells = (np.abs(k1) + np.abs(k2) + np.abs(k3)).ravel()
+    amp = np.max(np.abs(v.coeffs), axis=0).ravel()
+    return shells, amp
+
+
+def _per_shell(ufunc, shells: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Reduce values into a zero-started entry per shell, in flat mode order."""
+    out = np.zeros(int(shells.max()) + 1)
+    ufunc.at(out, shells, values)
+    return out
+
+
 def shell_maxima(v: SpectralField) -> np.ndarray:
     """Max coefficient magnitude per |k|_1 shell; entry [p] is shell |k|_1 = p."""
-    k1, k2, k3 = v.grid.wavevectors()
-    shells = np.broadcast_to(
-        np.abs(k1) + np.abs(k2) + np.abs(k3),
-        (v.grid.n,) * 3,
-    ).ravel()
-    amp = np.max(np.abs(v.coeffs), axis=0).ravel()
-    nshell = int(shells.max()) + 1
-    out = np.zeros(nshell)
-    np.maximum.at(out, shells, amp)
-    return out
+    shells, amp = _shell_modes(v)
+    return _per_shell(np.maximum, shells, amp)
+
+
+def shell_spectrum(v: SpectralField) -> tuple:
+    """Spectrum columns per |k|_1 shell: k1_abs_max, amplitude_max, amplitude_l2.
+
+    A mode's amplitude is its largest component magnitude; k1_abs_max is the
+    largest |k_1| of a mode with nonzero amplitude.
+    """
+    shells, amp = _shell_modes(v)
+    absk1 = np.broadcast_to(np.abs(v.grid.wavevectors()[0]),
+                            (v.grid.n,) * 3).ravel()
+    # Float values: ufunc.at takes its fast path only without a cast.
+    return (_per_shell(np.maximum, shells, np.where(amp > 0, absk1, 0.0)),
+            _per_shell(np.maximum, shells, amp),
+            np.sqrt(_per_shell(np.add, shells, amp**2)))
 
 
 def fit_radius(v: SpectralField, s: float = 1.0,

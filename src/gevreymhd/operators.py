@@ -112,17 +112,20 @@ def curl(v: SpectralField) -> SpectralField:
     return SpectralField(v.grid, out)
 
 
-def biot_savart(w: SpectralField, div_tol: float = 1e-10) -> SpectralField:
+_DIV_TOL = 1e-10
+
+
+def biot_savart(w: SpectralField) -> SpectralField:
     """Invert the curl: v_hat_k = i k x w_hat_k / |k|^2.
 
-    Rejects inputs whose spectral divergence exceeds div_tol relative to the
-    largest coefficient.
+    Rejects inputs whose spectral divergence exceeds _DIV_TOL relative to
+    the largest coefficient.
     """
     scale = w.max_amplitude()
-    if scale > 0 and w.divergence_defect() > div_tol * max(scale, 1.0):
+    if scale > 0 and w.divergence_defect() > _DIV_TOL * max(scale, 1.0):
         raise ValueError(
             f"biot_savart input is not divergence-free "
-            f"(defect {w.divergence_defect():.3e}, tolerance {div_tol:.1e})"
+            f"(defect {w.divergence_defect():.3e}, tolerance {_DIV_TOL:.1e})"
         )
     k1, k2, k3 = w.grid.wavevectors()
     k2norm = (k1 * k1 + k2 * k2 + k3 * k3).astype(np.float64)

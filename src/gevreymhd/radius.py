@@ -63,12 +63,14 @@ def bernoulli_tau(t: float, tau0: float, a: float, b: float) -> float:
     return a * tau0 * e / (a + b * tau0 * (1.0 - e))
 
 
-def integrate_radius(times, a_series, b_series, tau0: float,
-                     substeps: int = 8) -> np.ndarray:
+_SUBSTEPS = 8
+
+
+def integrate_radius(times, a_series, b_series, tau0: float) -> np.ndarray:
     """RK4 integration of the radius ODE along sampled coefficients.
 
     Coefficients are interpolated piecewise-linearly between samples.  Each
-    sample interval is covered by at least `substeps` RK4 steps; the local
+    sample interval is covered by at least _SUBSTEPS RK4 steps; the local
     step additionally adapts to the instantaneous decay rate a + b*tau, so
     the output stays strictly positive however stiff the coefficients are.
     Hitting 1e-300 raises RadiusCollapse.
@@ -100,7 +102,7 @@ def integrate_radius(times, a_series, b_series, tau0: float,
             while t_local < span - 1e-15 * max(span, 1.0):
                 a_now, b_now = coeffs_at(t_local)
                 rate = a_now + b_now * tau
-                h = span / substeps
+                h = span / _SUBSTEPS
                 if rate > 0.0:
                     h = min(h, 0.2 / rate)
                 h = min(h, span - t_local)

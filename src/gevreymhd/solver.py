@@ -10,7 +10,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .norms import GevreyParams, NormRecord, RadiusFitError, fit_radius, state_norms
+from .norms import (
+    GevreyParams,
+    NormRecord,
+    RadiusFitError,
+    fit_radius,
+    pair_max_field,
+    state_norms,
+)
 from .operators import biot_savart, curl, gradient_physical, inner_l2
 from .radius import RadiusModel, RadiusTracker
 from .spectral import (
@@ -255,24 +262,17 @@ def _gradient_sups(v: SpectralField) -> tuple:
     return float(np.max(np.abs(g))), float(np.max(np.linalg.norm(rot, axis=0)))
 
 
-def _sample_diagnostics(state: MHDState, params: GevreyParams,
-                        fit_s: float) -> tuple:
+def _sample_diagnostics(state: MHDState, params: GevreyParams) -> tuple:
     omega = curl(state.u)
     current = curl(state.h)
     grad_u, omega_sup = _gradient_sups(state.u)
     grad_h, current_sup = _gradient_sups(state.h)
     norms = state_norms(omega, current, params, grad_u, grad_h)
     try:
-        tau_fit = fit_radius(_pair_max_field(omega, current), fit_s)
+        tau_fit = fit_radius(pair_max_field(omega, current), params.s)
     except RadiusFitError:
         tau_fit = float("nan")
     return norms, omega_sup + current_sup, grad_u + grad_h, tau_fit
-
-
-def _pair_max_field(omega: SpectralField, current: SpectralField) -> SpectralField:
-    """Mode-wise max-amplitude envelope of the pair, for radius fitting."""
-    amp = np.maximum(np.abs(omega.coeffs), np.abs(current.coeffs))
-    return SpectralField(omega.grid, amp.astype(np.complex128))
 
 
 def recompute_radius(records: list, model: RadiusModel) -> list:
@@ -309,9 +309,8 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
     params.warn_if_subcritical()
     if model is None:
         model = RadiusModel(tau0=params.tau if params.tau > 0 else 1.0)
-    fit_s = params.s
 
-    norms, bkm, grad_sum, tau_fit = _sample_diagnostics(state, params, fit_s)
+    norms, bkm, grad_sum, tau_fit = _sample_diagnostics(state, params)
     tracker = RadiusTracker(model, state.t, grad_sum, norms.hr, norms.x_norm)
     bkm0 = max(bkm, 1e-300)
     records = [DiagnosticsRecord(
@@ -321,7 +320,7 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
     )]
 
     def sample(state: MHDState) -> float:
-        norms, bkm, grad_sum, tau_fit = _sample_diagnostics(state, params, fit_s)
+        norms, bkm, grad_sum, tau_fit = _sample_diagnostics(state, params)
         tracker.advance(state.t, grad_sum, norms.hr)
         records.append(DiagnosticsRecord(
             t=state.t, energy=energy(state),
@@ -333,7 +332,10 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
 
     status = "completed"
     steps_done = 0
-    while state.t < t_end - 1e-12 * max(t_end, 1.0):
+    # One stop time for the loop and the final off-cadence sample, so a
+    # completed run's last record always describes the returned state.
+    t_stop = t_end - 1e-12 * max(t_end, 1.0)
+    while state.t < t_stop:
         if cfl is not None:
             step_dt = min(cfl_timestep(state, cfl), t_end - state.t)
         else:
@@ -344,7 +346,7 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
             status = "non-finite"
             break
         steps_done += 1
-        if steps_done % cadence != 0 and state.t < t_end - 1e-12:
+        if steps_done % cadence != 0 and state.t < t_stop:
             continue
 
         bkm = sample(state)

@@ -288,12 +288,11 @@ def mode_field(grid: Grid, entries) -> SpectralField:
     return v
 
 
-def taylor_green_mhd(grid: Grid, amplitude: float = 1.0,
-                     mag_amplitude: float = 1.0) -> MHDState:
+def taylor_green_mhd(grid: Grid, amplitude: float = 1.0) -> MHDState:
     """Taylor-Green velocity with an insulating-type magnetic perturbation.
 
     u = A (sin x cos y cos z, -cos x sin y cos z, 0)
-    h = B (cos x sin y sin z, sin x cos y sin z, -2 sin x sin y cos z)
+    h = (cos x sin y sin z, sin x cos y sin z, -2 sin x sin y cos z)
 
     Both are exactly divergence-free and mean-zero.
     """
@@ -305,9 +304,9 @@ def taylor_green_mhd(grid: Grid, amplitude: float = 1.0,
         np.zeros_like(X),
     ])
     hsamp = np.stack([
-        mag_amplitude * np.cos(X) * np.sin(Y) * np.sin(Z),
-        mag_amplitude * np.sin(X) * np.cos(Y) * np.sin(Z),
-        -2.0 * mag_amplitude * np.sin(X) * np.sin(Y) * np.cos(Z),
+        np.cos(X) * np.sin(Y) * np.sin(Z),
+        np.sin(X) * np.cos(Y) * np.sin(Z),
+        -2.0 * np.sin(X) * np.sin(Y) * np.cos(Z),
     ])
     uf = symmetrize(from_physical(grid, usamp))
     hf = symmetrize(from_physical(grid, hsamp))
@@ -375,12 +374,17 @@ def random_band_field(grid: Grid, seed: int | np.random.Generator, kmax: int,
     return symmetrize(v)
 
 
+# Initial-condition kind -> (constructor, the config keys it takes).
+INITIAL_CONDITIONS = {
+    "taylor-green": (taylor_green_mhd, ("amplitude",)),
+    "orszag-tang": (orszag_tang_3d, ("beta",)),
+    "random-band": (random_band, ("seed", "kmax", "amplitude")),
+}
+
+
 def init_state(kind: str, grid: Grid, **params) -> MHDState:
-    """Dispatch on initial-condition kind: taylor-green | orszag-tang | random-band."""
-    if kind in ("taylor-green", "taylor_green_mhd"):
-        return taylor_green_mhd(grid, **params)
-    if kind in ("orszag-tang", "orszag_tang_3d"):
-        return orszag_tang_3d(grid, **params)
-    if kind in ("random-band", "random_band"):
-        return random_band(grid, **params)
-    raise ValueError(f"unknown initial condition kind: {kind!r}")
+    """Build the initial state of a kind named in INITIAL_CONDITIONS."""
+    if kind not in INITIAL_CONDITIONS:
+        raise ValueError(f"unknown initial condition kind: {kind!r}")
+    build, _keys = INITIAL_CONDITIONS[kind]
+    return build(grid, **params)

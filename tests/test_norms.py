@@ -8,6 +8,7 @@ from gevreymhd.norms import (
     fit_radius,
     gevrey_norm,
     shell_maxima,
+    shell_spectrum,
     sobolev_norm,
     state_norms,
     sup_gradient,
@@ -100,6 +101,25 @@ class TestRadiusFit:
         shells = shell_maxima(f)
         assert shells[2] == pytest.approx(0.3)
         assert shells[1] == 0.0
+
+    def test_shell_spectrum_matches_mode_loop(self):
+        g = Grid(8)
+        f = random_band(g, seed=24, kmax=2).u
+        f.coeffs[:, 1, 1, 1] = 0.0  # an empty mode must not set k1_abs_max
+        k1max, amax, l2 = np.zeros((3, 13))
+        for i, j, k in np.ndindex(8, 8, 8):
+            k1, k2, k3 = g.modes[i], g.modes[j], g.modes[k]
+            p = abs(k1) + abs(k2) + abs(k3)
+            amp = np.max(np.abs(f.coeffs[:, i, j, k]))
+            if amp > 0:
+                k1max[p] = max(k1max[p], abs(k1))
+            amax[p] = max(amax[p], amp)
+            l2[p] += amp**2
+        got = shell_spectrum(f)
+        assert np.array_equal(got[0], k1max)
+        assert np.array_equal(got[1], amax)
+        assert np.array_equal(got[2], np.sqrt(l2))
+        assert np.array_equal(shell_maxima(f), amax)
 
     def test_fit_recovers_synthetic_decay(self):
         g = Grid(16)

@@ -281,6 +281,16 @@ class TestRunLoop:
                      for t, I in zip(times, integral)]
             assert [rec.tau_lower for rec in records] == lower
 
+    def test_completed_run_ends_with_a_record_of_its_state(self):
+        # t_end > 1: the last step lands within 1e-12 t_end of t_end, but
+        # not within 1e-12, which once skipped the final off-cadence sample
+        st = taylor_green_mhd(Grid(16))
+        st.t = 1e5
+        res = run(st, params=GevreyParams(r=4.5, tau=0.1), t_end=1e5 + 0.03,
+                  dt=0.01, cadence=2)
+        assert res.status == "completed"
+        assert res.records[-1].t == res.state.t
+
     def test_non_finite_step_ends_run_with_last_finite_state(self):
         st = random_band(Grid(16), seed=0, kmax=2, amplitude=1e3)
         with warnings.catch_warnings():
