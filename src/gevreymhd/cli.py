@@ -111,10 +111,16 @@ def cmd_run(args) -> int:
 
 def cmd_resume(args) -> int:
     config = load_config(args.config)
-    state, _params, tau = load_checkpoint(args.checkpoint)
+    state, saved, tau = load_checkpoint(args.checkpoint)
     if state.grid.n != config.n:
         raise ConfigError(f"checkpoint grid n={state.grid.n} does not match "
                           f"config grid.n={config.n}")
+    # The norm columns are defined by (r, s); a change would alter their
+    # meaning at the resume time.
+    if (saved.r, saved.s) != (config.params.r, config.params.s):
+        raise ConfigError(f"checkpoint (r, s) = ({saved.r}, {saved.s}) does "
+                          f"not match config gevrey (r, s) = "
+                          f"({config.params.r}, {config.params.s})")
     if state.t >= config.t_end:
         raise ConfigError(f"checkpoint time t={state.t} is already past "
                           f"t_end={config.t_end}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import GevreyParams, gevrey_norm, sobolev_norm, sup_gradient
+from .norms import GevreyParams, gevrey_norm, state_norms, sup_gradient
 from .operators import (
     MultiplierSpec,
     advect,
@@ -395,15 +395,10 @@ def estimate_constant(lemma: str, samples, spec: MultiplierSpec) -> float:
         h = biot_savart(current)
         gu = sup_gradient(u)
         gh = sup_gradient(h)
-        hr_o = sobolev_norm(omega, r)
-        hr_j = sobolev_norm(current, r)
-        hr_pair = float(np.hypot(hr_o, hr_j))
-        x_o = gevrey_norm(omega, params, "X")
-        x_j = gevrey_norm(current, params, "X")
-        x_pair = float(np.hypot(x_o, x_j))
-        y_o = gevrey_norm(omega, params, "Y")
-        y_j = gevrey_norm(current, params, "Y")
-        y_pair = float(np.hypot(y_o, y_j))
+        norms = state_norms(omega, current, params, gu, gh)
+        hr_o, hr_pair = norms.hr_omega, norms.hr
+        x_o, x_j, x_pair = norms.x_omega, norms.x_current, norms.x_norm
+        y_o, y_j, y_pair = norms.y_omega, norms.y_current, norms.y_norm
         for m in (1, 2, 3):
             mspec = MultiplierSpec(m=m, r=r, tau=tau, s=s)
             if lemma == "3.1":

@@ -4,12 +4,13 @@ Displayed sums of squares are read as squared norms: every function here
 returns the square root of the corresponding (2pi)^3-weighted coefficient sum.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import MultiplierSpec, gradient_physical, multiplier_weights
+from .operators import MultiplierSpec, _axis_weights, gradient_physical
 from .spectral import Grid, SpectralField
 
 
@@ -66,11 +67,13 @@ class NormRecord:
     x_current: float
     hr_omega: float
     hr_current: float
+    y_omega: float
+    y_current: float
 
     def __post_init__(self):
         vals = [self.hr, self.x_norm, self.y_norm, self.grad_u_sup,
                 self.grad_h_sup, self.x_omega, self.x_current,
-                self.hr_omega, self.hr_current]
+                self.hr_omega, self.hr_current, self.y_omega, self.y_current]
         if not all(np.isfinite(v) and v >= 0 for v in vals):
             raise ValueError(f"norm record entries must be finite and >= 0: {vals}")
         # Directional weights satisfy |k_m|^(r+1/2s) >= |k_m|^r on every
@@ -82,22 +85,52 @@ class NormRecord:
             )
 
 
+def _power(v: SpectralField) -> np.ndarray:
+    """sum_c |v_hat_c(k)|^2 per mode, shape (n, n, n)."""
+    parts = v.coeffs.view(np.float64)  # real and imaginary parts interleaved
+    squares = np.einsum("cxyz,cxyz->xyz", parts, parts)
+    return squares[..., 0::2] + squares[..., 1::2]
+
+
+@functools.lru_cache(maxsize=8)
+def _sobolev_weight(n: int, r: float) -> np.ndarray:
+    k1, k2, k3 = Grid(n).wavevectors()
+    weight = (1.0 + (k1 * k1 + k2 * k2 + k3 * k3).astype(np.float64)) ** r
+    weight.flags.writeable = False
+    return weight
+
+
+def _sobolev_sq(power: np.ndarray, r: float) -> float:
+    return float((2.0 * np.pi) ** 3
+                 * np.sum(_sobolev_weight(power.shape[0], r) * power))
+
+
+def _marginal(power: np.ndarray) -> np.ndarray:
+    """Sum of the three per-axis marginals: entry i sums modes with k_m = k[i]."""
+    rows = power.sum(axis=2)
+    return rows.sum(axis=1) + rows.sum(axis=0) + power.sum(axis=(0, 1))
+
+
+def _directional_sq(marginal: np.ndarray, grid: Grid, r: float, tau: float,
+                    s: float) -> float:
+    # The three directional weights are one function of k_m on a cubic grid.
+    w = _axis_weights(grid, MultiplierSpec(m=1, r=r, tau=tau, s=s)).ravel()
+    return float((2.0 * np.pi) ** 3 * np.sum(w**2 * marginal))
+
+
 def sobolev_norm(v: SpectralField, r: float) -> float:
     """sqrt( (2pi)^3 sum_k (1+|k|^2)^r |v_hat_k|^2 )."""
-    k1, k2, k3 = v.grid.wavevectors()
-    weight = (1.0 + (k1 * k1 + k2 * k2 + k3 * k3).astype(np.float64)) ** r
-    total = np.sum(weight * np.abs(v.coeffs) ** 2)
-    return float(np.sqrt((2.0 * np.pi) ** 3 * total))
+    return float(np.sqrt(_sobolev_sq(_power(v), r)))
 
 
 def directional_norm_sq(v: SpectralField, r: float, tau: float,
                         s: float) -> float:
     """sum_{m=1..3} (2pi)^3 sum_k |k_m|^(2r) exp(2 tau |k_m|^(1/s)) |v_hat_k|^2."""
-    total = 0.0
-    for m in (1, 2, 3):
-        w = multiplier_weights(v.grid, MultiplierSpec(m=m, r=r, tau=tau, s=s))
-        total += np.sum(w**2 * np.abs(v.coeffs) ** 2)
-    return float((2.0 * np.pi) ** 3 * total)
+    return _directional_sq(_marginal(_power(v)), v.grid, r, tau, s)
+
+
+def _y_exponent(params: GevreyParams) -> float:
+    return params.r + 0.5 / params.s
 
 
 def gevrey_norm(v: SpectralField, params: GevreyParams,
@@ -108,7 +141,7 @@ def gevrey_norm(v: SpectralField, params: GevreyParams,
     """
     if space not in ("X", "Y"):
         raise ValueError(f"space must be 'X' or 'Y', got {space!r}")
-    r = params.r if space == "X" else params.r + 0.5 / params.s
+    r = params.r if space == "X" else _y_exponent(params)
     return float(np.sqrt(directional_norm_sq(v, r, params.tau, params.s)))
 
 
@@ -134,6 +167,19 @@ def _zero_pad(v: SpectralField, factor: int) -> SpectralField:
     return out
 
 
+def _field_norms(v: SpectralField, params: GevreyParams) -> tuple:
+    """H^r, X and Y norms of one field from one sum of its |v_hat_k|^2."""
+    power = _power(v)
+    marginal = _marginal(power)
+    squares = (
+        _sobolev_sq(power, params.r),
+        _directional_sq(marginal, v.grid, params.r, params.tau, params.s),
+        _directional_sq(marginal, v.grid, _y_exponent(params), params.tau,
+                        params.s),
+    )
+    return tuple(float(np.sqrt(sq)) for sq in squares)
+
+
 def state_norms(omega: SpectralField, current: SpectralField,
                 params: GevreyParams, grad_u_sup: float,
                 grad_h_sup: float) -> NormRecord:
@@ -141,12 +187,8 @@ def state_norms(omega: SpectralField, current: SpectralField,
 
     Pair norms combine in quadrature: ||pair||^2 = ||omega||^2 + ||J||^2.
     """
-    hr_o = sobolev_norm(omega, params.r)
-    hr_j = sobolev_norm(current, params.r)
-    x_o = gevrey_norm(omega, params, "X")
-    x_j = gevrey_norm(current, params, "X")
-    y_o = gevrey_norm(omega, params, "Y")
-    y_j = gevrey_norm(current, params, "Y")
+    hr_o, x_o, y_o = _field_norms(omega, params)
+    hr_j, x_j, y_j = _field_norms(current, params)
     return NormRecord(
         hr=float(np.hypot(hr_o, hr_j)),
         x_norm=float(np.hypot(x_o, x_j)),
@@ -157,6 +199,8 @@ def state_norms(omega: SpectralField, current: SpectralField,
         x_current=x_j,
         hr_omega=hr_o,
         hr_current=hr_j,
+        y_omega=y_o,
+        y_current=y_j,
     )
 
 

@@ -14,8 +14,9 @@ from .spectral import (
     Grid,
     GridError,
     SpectralField,
+    _dealias_in_place,
+    _tables,
     _transform_components,
-    dealias,
     from_physical,
     to_physical,
 )
@@ -48,25 +49,12 @@ class MultiplierSpec:
             raise MultiplierError(f"Gevrey index s must be >= 1, got {self.s}")
 
 
-def _symbol(grid: Grid, m: int) -> np.ndarray:
-    k1, k2, k3 = grid.wavevectors()
-    if m == 0:
-        return (np.abs(k1) + np.abs(k2) + np.abs(k3)).astype(np.float64)
-    return np.broadcast_to(
-        np.abs((k1, k2, k3)[m - 1]).astype(np.float64),
-        (grid.n, grid.n, grid.n),
-    ).copy()
+def _weights(sym: np.ndarray, grid: Grid, spec: MultiplierSpec) -> np.ndarray:
+    """|sym|^r exp(tau |sym|^(1/s)) per entry of a float symbol array.
 
-
-def multiplier_weights(grid: Grid, spec: MultiplierSpec) -> np.ndarray:
-    """Per-mode weight array |sym|^r exp(tau |sym|^(1/s)), shape (n, n, n).
-
-    Convention at sym(k) = 0: weight 1 when r = 0 (the mode passes through
-    with exp(0) = 1), weight 0 when r > 0.  Overflow of the exponential is an
-    error, not infinity; the exponent is accumulated in log form and
-    exponentiated once.
+    sym is (n, n, n) or spans one axis with the others of length 1; either
+    way its indices are mode indices, so an overflow names its mode.
     """
-    sym = _symbol(grid, spec.m)
     w = np.zeros_like(sym)
     nz = sym > 0
     with np.errstate(over="ignore"):
@@ -83,6 +71,30 @@ def multiplier_weights(grid: Grid, spec: MultiplierSpec) -> np.ndarray:
     if spec.r == 0:
         w[~nz] = 1.0
     return w
+
+
+def _axis_weights(grid: Grid, spec: MultiplierSpec) -> np.ndarray:
+    """Weight of a directional spec (m in 1..3) as a function of k_m alone.
+
+    Shape (n, 1, 1), (1, n, 1) or (1, 1, n): it broadcasts along axis m.
+    """
+    km = grid.wavevectors()[spec.m - 1]
+    return _weights(np.abs(km).astype(np.float64), grid, spec)
+
+
+def multiplier_weights(grid: Grid, spec: MultiplierSpec) -> np.ndarray:
+    """Per-mode weight array |sym|^r exp(tau |sym|^(1/s)), shape (n, n, n).
+
+    Convention at sym(k) = 0: weight 1 when r = 0 (the mode passes through
+    with exp(0) = 1), weight 0 when r > 0.  Overflow of the exponential is an
+    error, not infinity; the exponent is accumulated in log form and
+    exponentiated once.
+    """
+    if spec.m != 0:
+        return np.broadcast_to(_axis_weights(grid, spec), (grid.n,) * 3).copy()
+    k1, k2, k3 = grid.wavevectors()
+    sym = (np.abs(k1) + np.abs(k2) + np.abs(k3)).astype(np.float64)
+    return _weights(sym, grid, spec)
 
 
 def lambda_apply(v: SpectralField, spec: MultiplierSpec) -> SpectralField:
@@ -103,7 +115,7 @@ def hilbert_sign(v: SpectralField, m: int) -> SpectralField:
 
 def curl(v: SpectralField) -> SpectralField:
     """Per-mode w_hat_k = i k x v_hat_k."""
-    k1, k2, k3 = v.grid.wavevectors()
+    k1, k2, k3 = _tables(v.grid.n).k
     c = v.coeffs
     out = np.empty_like(c)
     out[0] = 1j * (k2 * c[2] - k3 * c[1])
@@ -127,9 +139,9 @@ def biot_savart(w: SpectralField) -> SpectralField:
             f"biot_savart input is not divergence-free "
             f"(defect {w.divergence_defect():.3e}, tolerance {_DIV_TOL:.1e})"
         )
-    k1, k2, k3 = w.grid.wavevectors()
-    k2norm = (k1 * k1 + k2 * k2 + k3 * k3).astype(np.float64)
-    k2norm[0, 0, 0] = 1.0
+    tables = _tables(w.grid.n)
+    k1, k2, k3 = tables.k
+    k2norm = tables.k2norm
     c = w.coeffs
     out = np.empty_like(c)
     out[0] = 1j * (k2 * c[2] - k3 * c[1]) / k2norm
@@ -145,7 +157,7 @@ def gradient_physical(b: SpectralField) -> np.ndarray:
     Entry [m, c] is d b_c / d x_m.
     """
     n = b.grid.n
-    ik = [1j * km for km in b.grid.wavevectors()]
+    ik = _tables(n).ik
     out = np.empty((3, 3, n, n, n))
 
     def job(i, buf):
@@ -168,7 +180,7 @@ def advect(a: SpectralField, b: SpectralField) -> SpectralField:
     aphys = to_physical(a)
     gradb = gradient_physical(b)
     prod = np.einsum("mxyz,mcxyz->cxyz", aphys, gradb)
-    return dealias(from_physical(a.grid, prod))
+    return _dealias_in_place(from_physical(a.grid, prod))
 
 
 def inner_l2(f: SpectralField, g: SpectralField) -> float:

@@ -23,7 +23,8 @@ from .radius import RadiusModel, RadiusTracker
 from .spectral import (
     MHDState,
     SpectralField,
-    dealias,
+    _dealias_in_place,
+    _leray_in_place,
     from_physical,
     leray_project,
     to_physical,
@@ -69,30 +70,35 @@ def _nonlinear(state: MHDState):
     """Physical-space evaluation of (u.grad)u - (h.grad)h and (u.grad)h - (h.grad)u.
 
     Shares the transforms of u, h and their gradients across the four
-    advection terms; returns the two spectral, dealiased products.
+    advection terms, with one gradient tensor alive at a time; returns the
+    forward transforms of the two products, not yet dealiased.
     """
     grid = state.grid
     uphys = to_physical(state.u)
     hphys = to_physical(state.h)
-    gradu = gradient_physical(state.u)
-    gradh = gradient_physical(state.h)
-    adv_uu = np.einsum("mxyz,mcxyz->cxyz", uphys, gradu)
-    adv_hh = np.einsum("mxyz,mcxyz->cxyz", hphys, gradh)
-    adv_uh = np.einsum("mxyz,mcxyz->cxyz", uphys, gradh)
-    adv_hu = np.einsum("mxyz,mcxyz->cxyz", hphys, gradu)
-    nlu = dealias(from_physical(grid, adv_uu - adv_hh))
-    nlh = dealias(from_physical(grid, adv_uh - adv_hu))
-    return nlu, nlh
+    grad = gradient_physical(state.u)
+    adv_uu = np.einsum("mxyz,mcxyz->cxyz", uphys, grad)
+    adv_hu = np.einsum("mxyz,mcxyz->cxyz", hphys, grad)
+    del grad
+    grad = gradient_physical(state.h)
+    adv_hh = np.einsum("mxyz,mcxyz->cxyz", hphys, grad)
+    adv_uh = np.einsum("mxyz,mcxyz->cxyz", uphys, grad)
+    del grad, uphys, hphys
+    adv_uu -= adv_hh
+    adv_uh -= adv_hu
+    del adv_hh, adv_hu
+    nlu = from_physical(grid, adv_uu)
+    del adv_uu
+    return nlu, from_physical(grid, adv_uh)
 
 
 def rhs_primitive(state: MHDState) -> Tendency:
     """du = -P[(u.grad)u - (h.grad)h], dh = -P[(u.grad)h - (h.grad)u]."""
     nlu, nlh = _nonlinear(state)
-    du = leray_project(nlu)
-    dh = leray_project(nlh)
-    du.coeffs *= -1.0
-    dh.coeffs *= -1.0
-    return Tendency(du, dh)
+    for nl in (nlu, nlh):
+        _leray_in_place(_dealias_in_place(nl))
+        nl.coeffs *= -1.0
+    return Tendency(nlu, nlh)
 
 
 def _curl_tendency(u: SpectralField, h: SpectralField, omega: SpectralField,
@@ -122,8 +128,8 @@ def _curl_tendency(u: SpectralField, h: SpectralField, omega: SpectralField,
         dw += sa * np.einsum("mxyz,mcxyz->cxyz", a, grad)
         dj += sb * np.einsum("mxyz,mcxyz->cxyz", b, grad)
         del grad
-    return Tendency(dealias(from_physical(grid, dw)),
-                    dealias(from_physical(grid, dj)))
+    return Tendency(_dealias_in_place(from_physical(grid, dw)),
+                    _dealias_in_place(from_physical(grid, dj)))
 
 
 def rhs_curl(state: MHDState) -> Tendency:
@@ -150,7 +156,8 @@ def cross_gradient_curl_term(u: SpectralField, h: SpectralField) -> SpectralFiel
                    - np.einsum("lxyz,lxyz->xyz", gu[k], gh[:, j]))
         e_hu[i] = (np.einsum("lxyz,lxyz->xyz", gh[j], gu[:, k])
                    - np.einsum("lxyz,lxyz->xyz", gh[k], gu[:, j]))
-    return dealias(from_physical(u.grid, e_uh - e_hu))
+    e_uh -= e_hu
+    return _dealias_in_place(from_physical(u.grid, e_uh))
 
 
 def rhs_curl_pair(omega: SpectralField, current: SpectralField) -> Tendency:
@@ -185,19 +192,29 @@ def _rk4(tendency, y0: tuple, t: float, dt: float, what: str) -> tuple:
 
     # The update is y0 + dt/6 * (((k1 + 2 k2) + 2 k3) + k4), summed in that
     # order into k1's arrays as each stage finishes, so only one stage
-    # derivative is alive at a time.  This is the textbook combination
-    # evaluated left to right, bit for bit, which the reference outputs of
-    # the primitive stepper depend on.
-    k = stage(y0, t)
-    total = k
+    # derivative is alive at a time.  One preallocated buffer holds each
+    # stage input and, once its stage has run, that stage's weighted
+    # derivative, so the step makes no temporaries of its own.  This is the
+    # textbook combination evaluated left to right with the scalar as the
+    # left operand, bit for bit, which the reference outputs of the primitive
+    # stepper depend on.
+    total = stage(y0, t)
+    k = total
+    y = tuple(np.empty_like(yi) for yi in y0)
     for frac, weight in ((0.5, 2), (0.5, 2), (1.0, 1)):
-        y = tuple(yi + frac * dt * c for yi, c in zip(y0, k))
+        for yi, y0i, c in zip(y, y0, k):
+            np.multiply(frac * dt, c, out=yi)
+            np.add(y0i, yi, out=yi)
         del k
         k = stage(y, t + frac * dt)
-        del y
-        for acc, c in zip(total, k):
-            acc += weight * c
-    return tuple(yi + dt / 6.0 * acc for yi, acc in zip(y0, total))
+        for acc, yi, c in zip(total, y, k):
+            np.multiply(weight, c, out=yi)
+            acc += yi
+    del k, y
+    for y0i, acc in zip(y0, total):
+        np.multiply(dt / 6.0, acc, out=acc)
+        np.add(y0i, acc, out=acc)
+    return total
 
 
 def step_rk4_curl(omega: SpectralField, current: SpectralField,
@@ -212,8 +229,8 @@ def step_rk4_curl(omega: SpectralField, current: SpectralField,
 
     wnew, jnew = _rk4(tendency, (omega.coeffs, current.coeffs), 0.0, dt,
                       "curl-pair tendency")
-    return (dealias(SpectralField(grid, wnew)),
-            dealias(SpectralField(grid, jnew)))
+    return (_dealias_in_place(SpectralField(grid, wnew)),
+            _dealias_in_place(SpectralField(grid, jnew)))
 
 
 def cfl_timestep(state: MHDState, cfl: float = 0.5) -> float:
@@ -238,8 +255,8 @@ def step_rk4(state: MHDState, dt: float) -> MHDState:
 
     unew, hnew = _rk4(tendency, (state.u.coeffs, state.h.coeffs), state.t, dt,
                       "tendency")
-    u = dealias(leray_project(SpectralField(grid, unew)))
-    h = dealias(leray_project(SpectralField(grid, hnew)))
+    u = _dealias_in_place(_leray_in_place(SpectralField(grid, unew)))
+    h = _dealias_in_place(_leray_in_place(SpectralField(grid, hnew)))
     return MHDState(u, h, state.t + dt)
 
 
@@ -259,7 +276,9 @@ def _gradient_sups(v: SpectralField) -> tuple:
     """
     g = gradient_physical(v)
     rot = np.stack((g[1, 2] - g[2, 1], g[2, 0] - g[0, 2], g[0, 1] - g[1, 0]))
-    return float(np.max(np.abs(g))), float(np.max(np.linalg.norm(rot, axis=0)))
+    # max |g| without an |g| array; negation is exact, so the value is too.
+    grad_sup = max(float(g.max()), -float(g.min()))
+    return grad_sup, float(np.max(np.linalg.norm(rot, axis=0)))
 
 
 def _sample_diagnostics(state: MHDState, params: GevreyParams) -> tuple:

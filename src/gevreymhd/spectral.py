@@ -20,8 +20,14 @@ component on the calling thread, as a second thread gained little or lost
 there.  A transform over the component axis computes each component with
 the same arithmetic as a call on that component alone, so the outputs are
 bit-identical to it, and to each other for any thread count.
+
+The per-mode tables of the spectral operators (wavevectors, the Leray
+denominator |k|^2 and the dealias mask) are built once per grid size and
+shared read-only.  `dealias` and `leray_project` copy their input and run
+the in-place kernels the solver calls on arrays it owns.
 """
 
+import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -114,9 +120,37 @@ class SpectralField:
 
     def divergence_defect(self) -> float:
         """max_k |k . v_hat_k|."""
-        k1, k2, k3 = self.grid.wavevectors()
+        k1, k2, k3 = _tables(self.grid.n).k
         c = self.coeffs
         return float(np.max(np.abs(k1 * c[0] + k2 * c[1] + k3 * c[2])))
+
+
+class _Tables:
+    """Per-mode operator tables of an n^3 grid, read-only.
+
+    The wavevectors are stored as the complex values numpy casts the integer
+    ones to when they meet complex coefficients, so they compute the same
+    bits without a cast.  The n^3 tables, |k|^2 (1 at k = 0) and the dealias
+    mask, keep their float and boolean types: a complex copy would be 2 and
+    16 times larger, and the cast, done in small buffers, gives the same bits.
+    """
+
+    def __init__(self, n: int):
+        grid = Grid(n)
+        k1, k2, k3 = grid.wavevectors()
+        k2norm = (k1 * k1 + k2 * k2 + k3 * k3).astype(np.float64)
+        k2norm[0, 0, 0] = 1.0  # the k=0 coefficient is zero anyway
+        self.k = tuple(km.astype(np.complex128) for km in (k1, k2, k3))
+        self.ik = tuple(1j * km for km in (k1, k2, k3))
+        self.k2norm = k2norm
+        self.mask = grid.dealias_mask()
+        for table in (*self.k, *self.ik, self.k2norm, self.mask):
+            table.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=8)
+def _tables(n: int) -> _Tables:
+    return _Tables(n)
 
 
 def symmetrize(v: SpectralField) -> SpectralField:
@@ -224,10 +258,36 @@ def from_physical(grid: Grid, samples: np.ndarray) -> SpectralField:
     return SpectralField(grid, coeffs)
 
 
+def _dealias_in_place(v: SpectralField) -> SpectralField:
+    """Multiply v by the 2/3-rule mask in place; returns v."""
+    v.coeffs *= _tables(v.grid.n).mask
+    return v
+
+
 def dealias(v: SpectralField) -> SpectralField:
     """Zero every mode with any |k_i| > n/3 (2/3 rule); idempotent."""
-    mask = v.grid.dealias_mask()
-    return SpectralField(v.grid, v.coeffs * mask)
+    return _dealias_in_place(v.copy())
+
+
+def _leray_in_place(v: SpectralField) -> SpectralField:
+    """Leray-project v in place with two n^3 scratch arrays; returns v.
+
+    Evaluates c_i - k_i ((k1 c_1 + k2 c_2 + k3 c_3) / |k|^2) in that order.
+    """
+    tables = _tables(v.grid.n)
+    k1, k2, k3 = tables.k
+    c = v.coeffs
+    kdotv = k1 * c[0]
+    term = k2 * c[1]
+    kdotv += term
+    np.multiply(k3, c[2], out=term)
+    kdotv += term
+    kdotv /= tables.k2norm
+    for ci, km in zip(c, tables.k):
+        np.multiply(km, kdotv, out=term)
+        ci -= term
+    c[:, 0, 0, 0] = 0.0
+    return v
 
 
 def leray_project(v: SpectralField) -> SpectralField:
@@ -235,17 +295,7 @@ def leray_project(v: SpectralField) -> SpectralField:
 
     Annihilates gradient fields, fixes divergence-free fields, idempotent.
     """
-    k1, k2, k3 = v.grid.wavevectors()
-    k2norm = (k1 * k1 + k2 * k2 + k3 * k3).astype(np.float64)
-    k2norm[0, 0, 0] = 1.0  # k=0 coefficient is zero anyway
-    c = v.coeffs
-    kdotv = (k1 * c[0] + k2 * c[1] + k3 * c[2]) / k2norm
-    out = np.empty_like(c)
-    out[0] = c[0] - k1 * kdotv
-    out[1] = c[1] - k2 * kdotv
-    out[2] = c[2] - k3 * kdotv
-    out[:, 0, 0, 0] = 0.0
-    return SpectralField(v.grid, out)
+    return _leray_in_place(v.copy())
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here deliberately avoids the package's FFT/vectorized code paths:
-plain python loops over explicit mode dictionaries, and quadrature sums over
-collocation samples.
+plain python loops over explicit mode dictionaries, quadrature sums over
+collocation samples, and norm weights built as full (n, n, n) arrays.
 """
 
 import numpy as np
@@ -78,3 +78,27 @@ def naive_sobolev_sq(modes_dict, r):
         k2 = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
         total += (1.0 + k2) ** r * float(np.sum(np.abs(vec) ** 2))
     return (2.0 * np.pi) ** 3 * total
+
+
+def full_array_sobolev_sq(field, r):
+    """(2pi)^3 sum (1+|k|^2)^r |v_k|^2 with an (n, n, n) weight array."""
+    k1, k2, k3 = field.grid.wavevectors()
+    weight = (1.0 + (k1 * k1 + k2 * k2 + k3 * k3).astype(np.float64)) ** r
+    return (2.0 * np.pi) ** 3 * float(
+        np.sum(weight * np.abs(field.coeffs) ** 2))
+
+
+def full_array_directional_sq(field, r, tau, s):
+    """sum_m (2pi)^3 sum |k_m|^2r e^{2 tau |k_m|^{1/s}} |v_k|^2, 0^0 = 1.
+
+    Builds each direction's weight as an (n, n, n) array.
+    """
+    n = field.grid.n
+    total = 0.0
+    for km in field.grid.wavevectors():
+        sym = np.broadcast_to(np.abs(km), (n, n, n)).astype(np.float64)
+        w = np.full_like(sym, 1.0 if r == 0.0 else 0.0)
+        nz = sym > 0
+        w[nz] = np.exp(r * np.log(sym[nz]) + tau * sym[nz] ** (1.0 / s))
+        total += np.sum(w**2 * np.abs(field.coeffs) ** 2)
+    return (2.0 * np.pi) ** 3 * float(total)

@@ -80,6 +80,11 @@ def wrong_magic_checkpoint(path):
     path.write_bytes(b"XXXX" + path.read_bytes()[4:])
 
 
+def other_gevrey_checkpoint(path):
+    save_checkpoint(path, taylor_green_mhd(Grid(16)),
+                    GevreyParams(r=6.0, s=2.0), 0.1)
+
+
 def late_checkpoint(path):
     state = taylor_green_mhd(Grid(16))
     state.t = 1.0
@@ -94,6 +99,9 @@ class TestErrorPath:
         ("fit-radius", None, "checkpoint error: checkpoint not found"),
         ("resume", late_checkpoint, "config error: checkpoint time t=1.0 is "
                                     "already past t_end=0.05"),
+        ("resume", other_gevrey_checkpoint,
+         "config error: checkpoint (r, s) = (6.0, 2.0) does not match config "
+         "gevrey (r, s) = (4.5, 1.0)"),
     ])
     def test_one_line_and_exit_one(self, tmp_path, command, make, prefix):
         (tmp_path / "run.cfg").write_text(CFG)

@@ -5,6 +5,7 @@ from gevreymhd.norms import (
     GevreyParams,
     NormRecord,
     RadiusFitError,
+    directional_norm_sq,
     fit_radius,
     gevrey_norm,
     shell_maxima,
@@ -13,9 +14,21 @@ from gevreymhd.norms import (
     state_norms,
     sup_gradient,
 )
-from gevreymhd.spectral import Grid, SpectralField, mode_field, random_band
+from gevreymhd.operators import MultiplierError
+from gevreymhd.spectral import (
+    Grid,
+    SpectralField,
+    mode_field,
+    random_band,
+    random_band_field,
+)
 
-from oracles import field_to_modes, naive_sobolev_sq
+from oracles import (
+    field_to_modes,
+    full_array_directional_sq,
+    full_array_sobolev_sq,
+    naive_sobolev_sq,
+)
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 
@@ -90,7 +103,65 @@ class TestNorms:
 
     def test_norm_record_rejects_nan(self):
         with pytest.raises(ValueError):
-            NormRecord(np.nan, 1, 1, 1, 1, 1, 1, 1, 1)
+            NormRecord(np.nan, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
+
+
+class TestNormsMatchFullArrayFormulas:
+    """The separable and once-summed norms equal the full-array weights."""
+
+    @staticmethod
+    def fields():
+        g = Grid(16)
+        # Not band-limited or solenoidal: every mode and axis carries weight.
+        return (random_band_field(g, 51, 5, solenoidal=False),
+                random_band_field(g, 52, 5, amplitude=0.3, solenoidal=False))
+
+    @pytest.mark.parametrize("s", [1.0, 2.0])
+    @pytest.mark.parametrize("r", [0.0, 2.5])
+    def test_single_field_norms(self, r, s):
+        v, _ = self.fields()
+        assert sobolev_norm(v, r) == pytest.approx(
+            np.sqrt(full_array_sobolev_sq(v, r)), rel=1e-13)
+        assert directional_norm_sq(v, r, 0.3, s) == pytest.approx(
+            full_array_directional_sq(v, r, 0.3, s), rel=1e-13)
+        if r > 0:
+            params = GevreyParams(r=r, s=s, tau=0.3)
+            assert gevrey_norm(v, params, "X") == pytest.approx(
+                np.sqrt(full_array_directional_sq(v, r, 0.3, s)), rel=1e-13)
+            assert gevrey_norm(v, params, "Y") == pytest.approx(
+                np.sqrt(full_array_directional_sq(v, r + 0.5 / s, 0.3, s)),
+                rel=1e-13)
+
+    @pytest.mark.parametrize("s", [1.0, 2.0])
+    def test_state_norms(self, s):
+        omega, current = self.fields()
+        params = GevreyParams(r=2.5, s=s, tau=0.3)
+        rec = state_norms(omega, current, params, 1.5, 2.5)
+        per_field = []
+        for v in (omega, current):
+            per_field.append([np.sqrt(sq) for sq in (
+                full_array_sobolev_sq(v, 2.5),
+                full_array_directional_sq(v, 2.5, 0.3, s),
+                full_array_directional_sq(v, 2.5 + 0.5 / s, 0.3, s),
+            )])
+        (hr_o, x_o, y_o), (hr_j, x_j, y_j) = per_field
+        expected = {
+            "hr": np.hypot(hr_o, hr_j), "x_norm": np.hypot(x_o, x_j),
+            "y_norm": np.hypot(y_o, y_j), "hr_omega": hr_o,
+            "hr_current": hr_j, "x_omega": x_o, "x_current": x_j,
+            "y_omega": y_o, "y_current": y_j,
+        }
+        for name, value in expected.items():
+            assert getattr(rec, name) == pytest.approx(value, rel=1e-13), name
+        assert (rec.grad_u_sup, rec.grad_h_sup) == (1.5, 2.5)
+
+    def test_weight_overflow_raises(self):
+        omega, current = self.fields()
+        params = GevreyParams(r=1.0, s=1.0, tau=800.0)
+        with pytest.raises(MultiplierError, match="overflow"):
+            gevrey_norm(omega, params, "X")
+        with pytest.raises(MultiplierError, match="overflow"):
+            state_norms(omega, current, params, 1.0, 1.0)
 
 
 class TestRadiusFit:

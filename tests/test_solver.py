@@ -1,10 +1,17 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from gevreymhd.norms import GevreyParams, SubcriticalWarning
-from gevreymhd.operators import advect, biot_savart, curl, inner_l2
+from gevreymhd.operators import (
+    advect,
+    biot_savart,
+    curl,
+    gradient_physical,
+    inner_l2,
+)
 from gevreymhd.radius import (
     RadiusModel,
     cumulative_integral,
@@ -14,6 +21,7 @@ from gevreymhd.radius import (
 )
 from gevreymhd.solver import (
     StepError,
+    _sample_diagnostics,
     cfl_timestep,
     cross_gradient_curl_term,
     cross_helicity,
@@ -31,9 +39,11 @@ from gevreymhd.spectral import (
     MHDState,
     SpectralField,
     dealias,
+    from_physical,
     leray_project,
     random_band,
     taylor_green_mhd,
+    to_physical,
 )
 
 
@@ -196,6 +206,103 @@ class TestStepping:
         st = taylor_green_mhd(Grid(16))
         tend = rhs_curl_pair(curl(st.u), curl(st.h))
         assert tend.du.divergence_defect() < 1e-12
+
+
+def full_spectrum_state(n, seed):
+    """A state with every mode set: the kernels' masks and projections bite."""
+    rng = np.random.default_rng(seed)
+    shape = (3, n, n, n)
+
+    def field():
+        return SpectralField(Grid(n), rng.standard_normal(shape)
+                             + 1j * rng.standard_normal(shape))
+
+    return MHDState(field(), field(), 0.0)
+
+
+def as_bytes(a: np.ndarray) -> np.ndarray:
+    """The array's bytes, so a zero's sign counts."""
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+class TestInPlaceContract:
+    """The solver's in-place kernels write only arrays the callee owns."""
+
+    @pytest.mark.parametrize("call", [
+        lambda st: step_rk4(st, 0.01),
+        rhs_primitive,
+        lambda st: leray_project(st.u),
+        lambda st: dealias(st.h),
+        lambda st: step_rk4_curl(st.u, st.h, 0.01),
+    ], ids=["step_rk4", "rhs_primitive", "leray_project", "dealias",
+            "step_rk4_curl"])
+    def test_inputs_keep_their_bytes(self, call):
+        st = full_spectrum_state(16, seed=61)
+        before = [st.u.coeffs.copy(), st.h.coeffs.copy()]
+        call(st)
+        for saved, now in zip(before, (st.u.coeffs, st.h.coeffs)):
+            assert np.array_equal(as_bytes(saved), as_bytes(now))
+
+    def test_pooled_step_is_bytewise_the_textbook_rk4(self):
+        # n = 64 transforms run on the thread pool.  The reference evaluates
+        # every operator out of place through the public functions.
+        st = taylor_green_mhd(Grid(64))
+        grid, dt = st.grid, 0.01
+
+        def advection(a, grad):
+            return np.einsum("mxyz,mcxyz->cxyz", a, grad)
+
+        def f(y):
+            u, h = (SpectralField(grid, c) for c in y)
+            up, hp = to_physical(u), to_physical(h)
+            gu, gh = gradient_physical(u), gradient_physical(h)
+            out = []
+            for prod in (advection(up, gu) - advection(hp, gh),
+                         advection(up, gh) - advection(hp, gu)):
+                d = leray_project(dealias(from_physical(grid, prod)))
+                d.coeffs *= -1.0
+                out.append(d.coeffs)
+            return out
+
+        y0 = (st.u.coeffs, st.h.coeffs)
+        k1 = f(y0)
+        k2 = f([a + 0.5 * dt * b for a, b in zip(y0, k1)])
+        k3 = f([a + 0.5 * dt * b for a, b in zip(y0, k2)])
+        k4 = f([a + dt * b for a, b in zip(y0, k3)])
+        # The stepper weights every stage derivative, k4's by 1.
+        y1 = [a + dt / 6.0 * (((b1 + 2 * b2) + 2 * b3) + 1 * b4)
+              for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
+        out = step_rk4(st, dt)
+        for got, ref in zip((out.u, out.h), y1):
+            ref = dealias(leray_project(SpectralField(grid, ref)))
+            assert np.array_equal(as_bytes(got.coeffs), as_bytes(ref.coeffs))
+
+
+def traced_peak_fields(call, n: int) -> float:
+    """Peak traced allocation of call(), in (3, n, n, n) complex fields."""
+    call()  # per-grid tables and transform plans are built outside the trace
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (3 * n**3 * np.dtype(np.complex128).itemsize)
+
+
+class TestMemory:
+    """numpy reports its buffers to tracemalloc; a per-stage temporary of
+    one state field shows as one more field here."""
+
+    def test_step_peak_allocation(self):
+        st = taylor_green_mhd(Grid(32))
+        assert traced_peak_fields(lambda: step_rk4(st, 0.01), 32) <= 10.0
+
+    def test_sample_diagnostics_peak_allocation(self):
+        st = taylor_green_mhd(Grid(32))
+        peak = traced_peak_fields(
+            lambda: _sample_diagnostics(st, smooth_params()), 32)
+        assert peak <= 6.0
 
 
 class TestConservation:
