@@ -23,9 +23,10 @@ from .norms import (
     shell_spectrum,
 )
 from .operators import MultiplierSpec, curl
-from .radius import RadiusModel, cumulative_integral, estimate_C_tilde
+from .radius import RadiusModel, estimate_C_tilde
 from .solver import recompute_radius, run
-from .spectral import Grid, init_state, random_band, taylor_green_mhd
+from .spectral import (Grid, init_state, random_band, random_band_field,
+                       taylor_green_mhd)
 
 CSV_HEADER = ("t,energy,cross_helicity,bkm_integrand,grad_sum,"
               "hr_norm,x_norm,y_norm,tau,tau_fit,tau_lower")
@@ -75,19 +76,15 @@ def _execute_run(config, config_path: str, state, tau0: float) -> int:
         )
     records = result.records
     if fit_requested:
-        times = [rec.t for rec in records]
-        grads = [rec.grad_sum for rec in records]
-        hrs = [rec.norms.hr for rec in records]
-        integral = cumulative_integral(times, grads)
         try:
-            c_tilde = estimate_C_tilde(times, hrs, integral)
+            c_tilde = estimate_C_tilde([rec.norms.hr for rec in records],
+                                       [rec.grad_integral for rec in records])
         except ValueError as exc:  # too few samples or an unbounded constant
             print(f"warning: {config_path}: c = fit skipped ({exc}); "
                   "tau uses C = 1", file=sys.stderr)
         else:
             c_fit = max(2.0 * c_tilde, 1e-6)
-            fitted = RadiusModel(C=c_fit, C_tilde=max(c_tilde, 1e-6),
-                                 tau0=tau0)
+            fitted = RadiusModel(C=c_fit, tau0=tau0)
             records = recompute_radius(records, fitted)
             print(f"fitted constants: C_tilde={c_tilde:.6g} C={c_fit:.6g}")
 
@@ -167,6 +164,12 @@ def cmd_verify(args) -> int:
                 args.range, (1.0, 1.5, 2.0)).items():
             value = rep.empirical_C if np.isfinite(rep.empirical_C) else rep.worst_margin
             reports.append((f"scalar-{name}", value, rep.violations == 0))
+        fields = [random_band_field(Grid(8), seed=args.seed + i, kmax=2)
+                  for i in range(20)]
+        rep = lab.operator_inequality_suite(fields, r=3.0, tau=0.2,
+                                            s=1.0)["constant_one"]
+        reports.append(("operator-constant_one", rep.worst_margin,
+                        rep.violations == 0))
     if args.suite in ("balance", "all"):
         state = taylor_green_mhd(Grid(16))
         spec = MultiplierSpec(m=3, r=1.0, tau=0.1, s=1.0)

@@ -105,14 +105,6 @@ def lambda_apply(v: SpectralField, spec: MultiplierSpec) -> SpectralField:
     return out
 
 
-def hilbert_sign(v: SpectralField, m: int) -> SpectralField:
-    """Multiply per mode by sgn(k_m); k_m = 0 modes map to zero."""
-    if m not in (1, 2, 3):
-        raise MultiplierError(f"direction index m must be in 1..3, got {m}")
-    k = v.grid.wavevectors()[m - 1]
-    return SpectralField(v.grid, v.coeffs * np.sign(k))
-
-
 def curl(v: SpectralField) -> SpectralField:
     """Per-mode w_hat_k = i k x v_hat_k."""
     k1, k2, k3 = _tables(v.grid.n).k

@@ -56,6 +56,7 @@ class DiagnosticsRecord:
     tau: float
     tau_fit: float
     tau_lower: float
+    grad_integral: float = 0.0  # I(t), the time integral of grad_sum
 
 
 @dataclass
@@ -297,16 +298,19 @@ def _sample_diagnostics(state: MHDState, params: GevreyParams) -> tuple:
 def recompute_radius(records: list, model: RadiusModel) -> list:
     """Re-run the radius tracking over recorded diagnostics with new constants.
 
-    Returns records with tau and tau_lower replaced; the PDE diagnostics are
-    untouched.  Useful after fitting the constants from a completed run.
+    Returns records with tau, tau_lower and grad_integral replaced; the PDE
+    diagnostics are untouched.  Useful after fitting the constants from a
+    completed run.
     """
     first = records[0]
     tracker = RadiusTracker(model, first.t, first.grad_sum, first.norms.hr,
                             first.norms.x_norm)
-    out = [replace(first, tau=model.tau0, tau_lower=tracker.tau_lower)]
+    out = [replace(first, tau=model.tau0, tau_lower=tracker.tau_lower,
+                   grad_integral=tracker.integral)]
     for rec in records[1:]:
         tracker.advance(rec.t, rec.grad_sum, rec.norms.hr)
-        out.append(replace(rec, tau=tracker.tau, tau_lower=tracker.tau_lower))
+        out.append(replace(rec, tau=tracker.tau, tau_lower=tracker.tau_lower,
+                           grad_integral=tracker.integral))
     return out
 
 
@@ -346,6 +350,7 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
             cross_helicity=cross_helicity(state),
             bkm_integrand=bkm, grad_sum=grad_sum, norms=norms,
             tau=tracker.tau, tau_fit=tau_fit, tau_lower=tracker.tau_lower,
+            grad_integral=tracker.integral,
         ))
         return bkm
 

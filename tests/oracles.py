@@ -2,10 +2,16 @@
 
 Everything here deliberately avoids the package's FFT/vectorized code paths:
 plain python loops over explicit mode dictionaries, quadrature sums over
-collocation samples, and norm weights built as full (n, n, n) arrays.
+collocation samples, norm weights built as full (n, n, n) arrays, and the
+whole-history radius pipeline (cumulative I(t), the Gronwall majorant M(t)
+and the Bernoulli closed form) that RadiusTracker computes one sample at a
+time.  rk4_chain is the one driver here: it steps the package's one-interval
+radius kernel across a sampled history.
 """
 
 import numpy as np
+
+from gevreymhd.radius import _rk4_interval
 
 
 def field_to_modes(field, tol=0.0):
@@ -102,3 +108,48 @@ def full_array_directional_sq(field, r, tau, s):
         w[nz] = np.exp(r * np.log(sym[nz]) + tau * sym[nz] ** (1.0 / s))
         total += np.sum(w**2 * np.abs(field.coeffs) ** 2)
     return (2.0 * np.pi) ** 3 * float(total)
+
+
+def bernoulli_tau(t: float, tau0: float, a: float, b: float) -> float:
+    """Closed-form solution of tau' = -(a tau + b tau^2), tau(0) = tau0."""
+    if a == 0.0:
+        return tau0 / (1.0 + b * tau0 * t)
+    e = np.exp(-a * t)
+    return a * tau0 * e / (a + b * tau0 * (1.0 - e))
+
+
+def cumulative_integral(times, values) -> np.ndarray:
+    """Trapezoidal cumulative integral matched to the diagnostic cadence."""
+    times = np.asarray(times, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    out = np.zeros_like(times)
+    if len(times) > 1:
+        out[1:] = np.cumsum(
+            0.5 * (values[1:] + values[:-1]) * np.diff(times)
+        )
+    return out
+
+
+def gronwall_majorant(times, hr_series, grad_integral, C: float,
+                      tau0: float, x0: float) -> np.ndarray:
+    """M(t) = G(t) [x0 + C (1 + tau0) int_0^t hr(sigma)^2 / G(sigma) dsigma].
+
+    G(t) = exp(C * I(t)) with I the accumulated gradient integral; the inner
+    integral uses trapezoidal quadrature at the sampling cadence.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    hr = np.asarray(hr_series, dtype=np.float64)
+    integral = np.asarray(grad_integral, dtype=np.float64)
+    G = np.exp(C * integral)
+    inner = cumulative_integral(times, hr**2 / G)
+    return G * (x0 + C * (1.0 + tau0) * inner)
+
+
+def rk4_chain(times, a_series, b_series, tau0: float) -> np.ndarray:
+    """tau at every sample: one _rk4_interval call per sample interval."""
+    taus = [tau0]
+    for i in range(len(times) - 1):
+        taus.append(_rk4_interval(taus[-1], times[i], times[i + 1],
+                                  a_series[i], a_series[i + 1],
+                                  b_series[i], b_series[i + 1]))
+    return np.array(taus)

@@ -13,14 +13,7 @@ from gevreymhd.cli import main as cli_main
 from gevreymhd.checkpoint import load_checkpoint, save_checkpoint
 from gevreymhd.norms import GevreyParams
 from gevreymhd.operators import MultiplierSpec, advect, curl, inner_l2, lambda_apply
-from gevreymhd.radius import (
-    RadiusModel,
-    bernoulli_tau,
-    cumulative_integral,
-    estimate_C_tilde,
-    integrate_radius,
-    radius_lower_bound,
-)
+from gevreymhd.radius import RadiusModel, estimate_C_tilde, radius_lower_bound
 from gevreymhd.solver import (
     cfl_timestep,
     cross_gradient_curl_term,
@@ -40,6 +33,7 @@ from gevreymhd.spectral import (
     random_band_field,
     taylor_green_mhd,
 )
+from oracles import bernoulli_tau, rk4_chain
 
 
 def smooth_params(r=3.0, s=1.0, tau=0.1):
@@ -285,13 +279,13 @@ class TestRadiusMachinery:
     def test_integrator_vs_bernoulli(self):
         times = np.linspace(0.0, 2.0, 81)
         a, b, tau0 = 1.3, 2.0, 0.7
-        taus = integrate_radius(times, np.full(81, a), np.full(81, b), tau0)
+        taus = rk4_chain(times, np.full(81, a), np.full(81, b), tau0)
         exact = np.array([bernoulli_tau(t, tau0, a, b) for t in times])
         np.testing.assert_allclose(taus, exact, rtol=1e-8)
 
     def test_integrator_vs_pure_riccati(self):
         times = np.linspace(0.0, 3.0, 121)
-        taus = integrate_radius(times, np.zeros(121), np.ones(121), 1.0)
+        taus = rk4_chain(times, np.zeros(121), np.ones(121), 1.0)
         np.testing.assert_allclose(taus, 1.0 / (1.0 + times), rtol=1e-8)
 
     def test_lower_bound_initial_value(self):
@@ -358,11 +352,9 @@ class TestEmpiricalConstants:
                 warnings.simplefilter("ignore")
                 res = run(st, params=smooth_params(), t_end=0.5, dt=0.02,
                           cadence=2)
-            times = [rec.t for rec in res.records]
-            grads = [rec.grad_sum for rec in res.records]
             hrs = [rec.norms.hr for rec in res.records]
-            integral = cumulative_integral(times, grads)
-            estimates.append(estimate_C_tilde(times, hrs, integral))
+            integral = [rec.grad_integral for rec in res.records]
+            estimates.append(estimate_C_tilde(hrs, integral))
         a, b = estimates
         assert abs(a - b) <= 0.10 * max(abs(a), abs(b)), estimates
 

@@ -1,5 +1,6 @@
 """The CLI's error path and warnings, and the README's config example."""
 
+import ast
 import os
 import re
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import gevreymhd
 from gevreymhd.checkpoint import save_checkpoint
 from gevreymhd.config import REQUIRED, SCHEMA, load_config
 from gevreymhd.norms import GevreyParams
@@ -63,6 +65,17 @@ class TestReadme:
                     continue
                 shown = f"`{default}`" if default != "" else "empty"
                 assert f"| `{section}.{key}` | {shown}" in text
+
+    def test_library_example_imports_exist(self):
+        text = (ROOT / "README.md").read_text()
+        section = text.split("## Library example", 1)[1]
+        code = re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
+        names = [alias.name for node in ast.walk(ast.parse(code))
+                 if isinstance(node, ast.ImportFrom)
+                 and node.module == "gevreymhd" for alias in node.names]
+        assert names
+        for name in names:
+            assert hasattr(gevreymhd, name), name
 
 
 def small_checkpoint(path):

@@ -247,6 +247,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "pass=yes" in out
         assert "pass=no" not in out
+        assert "check=operator-constant_one " in out
 
     def test_verify_unknown_suite(self, capsys):
         assert self.run_cli("verify", "bogus") == 1

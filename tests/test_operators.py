@@ -8,7 +8,6 @@ from gevreymhd.operators import (
     biot_savart,
     curl,
     gradient_physical,
-    hilbert_sign,
     inner_l2,
     inner_weighted,
     lambda_apply,
@@ -82,17 +81,6 @@ class TestDifferentialOperators:
         np.testing.assert_allclose(
             curl(biot_savart(w)).coeffs, w.coeffs, atol=1e-12
         )
-
-    def test_hilbert_sign_squares_to_identity_off_axis(self):
-        g = Grid(8)
-        f = mode_field(g, [((1, 2, 3), (0.3, 0.1j, 0.0))])
-        twice = hilbert_sign(hilbert_sign(f, 2), 2)
-        np.testing.assert_allclose(twice.coeffs, f.coeffs, atol=1e-15)
-
-    def test_hilbert_sign_kills_zero_component_modes(self):
-        g = Grid(8)
-        f = mode_field(g, [((0, 1, 1), (0.5, 0.0, 0.0))])
-        assert hilbert_sign(f, 1).max_amplitude() == 0.0
 
     def test_gradient_single_mode(self):
         g = Grid(8)

@@ -12,13 +12,7 @@ from gevreymhd.operators import (
     gradient_physical,
     inner_l2,
 )
-from gevreymhd.radius import (
-    RadiusModel,
-    cumulative_integral,
-    gronwall_majorant,
-    integrate_radius,
-    radius_lower_bound,
-)
+from gevreymhd.radius import RadiusModel, radius_lower_bound
 from gevreymhd.solver import (
     StepError,
     _sample_diagnostics,
@@ -45,6 +39,7 @@ from gevreymhd.spectral import (
     taylor_green_mhd,
     to_physical,
 )
+from oracles import cumulative_integral, gronwall_majorant, rk4_chain
 
 
 def smooth_params():
@@ -381,8 +376,9 @@ class TestRunLoop:
             integral = cumulative_integral(times, grads)
             majorant = gronwall_majorant(times, hrs, integral, C, 0.1,
                                          first.x_norm)
-            taus = integrate_radius(times, C * np.asarray(grads),
-                                    C * (np.asarray(hrs) + majorant), 0.1)
+            taus = rk4_chain(times, C * np.asarray(grads),
+                             C * (np.asarray(hrs) + majorant), 0.1)
+            assert [rec.grad_integral for rec in records] == list(integral)
             assert [rec.tau for rec in records] == list(taus)
             lower = [radius_lower_bound(t - times[0], model, I)
                      for t, I in zip(times, integral)]
