@@ -125,10 +125,10 @@ def cmd_resume(args) -> int:
 
 
 def cmd_fit_radius(args) -> int:
-    state, _params, tau = load_checkpoint(args.checkpoint)
+    state, params, tau = load_checkpoint(args.checkpoint)
     envelope = pair_max_field(curl(state.u), curl(state.h))
     try:
-        fitted = fit_radius(envelope, args.s)
+        fitted = fit_radius(envelope, params.s)
     except RadiusFitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return 2
@@ -137,11 +137,6 @@ def cmd_fit_radius(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suites = ("identities", "inequalities", "balance", "all")
-    if args.suite not in suites:
-        print(f"unknown suite {args.suite!r}; choose from {suites}",
-              file=sys.stderr)
-        return 1
     # Only verify needs the lab (and the triads it loads); importing it here
     # keeps it out of every other command's start-up.
     from . import lab
@@ -195,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument("suite")
+    p_verify.add_argument("suite", choices=("identities", "inequalities",
+                                            "balance", "all"))
     p_verify.add_argument("--range", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
@@ -203,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit-radius",
                            help="fit the spectral decay radius of a checkpoint")
     p_fit.add_argument("checkpoint")
-    p_fit.add_argument("--s", type=float, default=1.0)
     p_fit.set_defaults(func=cmd_fit_radius)
 
     p_resume = sub.add_parser("resume", help="resume a run from a checkpoint")
@@ -214,7 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on --help
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except ConfigError as exc:

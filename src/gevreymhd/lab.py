@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import GevreyParams, gevrey_norm, state_norms, sup_gradient
+from .norms import GevreyParams, field_norms, state_norms, sup_gradient
 from .operators import (
     MultiplierSpec,
     advect,
@@ -273,7 +273,7 @@ def operator_inequality_suite(fields, r: float = 3.0, tau: float = 0.2,
     for w in fields:
         # the direct chain on w and the inversion chain on its curl inverse
         chains = ((w, r), (biot_savart(w), r + 1))
-        x_norm = gevrey_norm(w, params, "X")
+        x_norm = field_norms(w, params)[1]
         for m in (1, 2, 3):
             for use_tau in (0.0, tau):
                 for i, (f, rho) in enumerate(chains):
@@ -393,8 +393,8 @@ def estimate_constant(lemma: str, samples, spec: MultiplierSpec) -> float:
     for omega, current in samples:
         u = biot_savart(omega)
         h = biot_savart(current)
-        gu = sup_gradient(u)
-        gh = sup_gradient(h)
+        gu = sup_gradient(u)[0]
+        gh = sup_gradient(h)[0]
         norms = state_norms(omega, current, params, gu, gh)
         hr_o, hr_pair = norms.hr_omega, norms.hr
         x_o, x_j, x_pair = norms.x_omega, norms.x_current, norms.x_norm

@@ -118,64 +118,32 @@ def _directional_sq(marginal: np.ndarray, grid: Grid, r: float, tau: float,
     return float((2.0 * np.pi) ** 3 * np.sum(w**2 * marginal))
 
 
-def sobolev_norm(v: SpectralField, r: float) -> float:
-    """sqrt( (2pi)^3 sum_k (1+|k|^2)^r |v_hat_k|^2 )."""
-    return float(np.sqrt(_sobolev_sq(_power(v), r)))
+def sup_gradient(v: SpectralField) -> tuple:
+    """Max-abs gradient entry and collocation max of |curl v|, one transform.
 
-
-def directional_norm_sq(v: SpectralField, r: float, tau: float,
-                        s: float) -> float:
-    """sum_{m=1..3} (2pi)^3 sum_k |k_m|^(2r) exp(2 tau |k_m|^(1/s)) |v_hat_k|^2."""
-    return _directional_sq(_marginal(_power(v)), v.grid, r, tau, s)
-
-
-def _y_exponent(params: GevreyParams) -> float:
-    return params.r + 0.5 / params.s
-
-
-def gevrey_norm(v: SpectralField, params: GevreyParams,
-                space: str = "X") -> float:
-    """Weighted-space norm of a single field; space is "X" or "Y".
-
-    Y raises the directional exponent by 1/(2s).
+    The curl is the antisymmetric part of the gradient tensor, whose entry
+    [m, c] is d_m v_c.
     """
-    if space not in ("X", "Y"):
-        raise ValueError(f"space must be 'X' or 'Y', got {space!r}")
-    r = params.r if space == "X" else _y_exponent(params)
-    return float(np.sqrt(directional_norm_sq(v, r, params.tau, params.s)))
+    g = gradient_physical(v)
+    rot = np.stack((g[1, 2] - g[2, 1], g[2, 0] - g[0, 2], g[0, 1] - g[1, 0]))
+    # max |g| without an |g| array; negation is exact, so the value is too.
+    grad_sup = max(float(g.max()), -float(g.min()))
+    return grad_sup, float(np.max(np.linalg.norm(rot, axis=0)))
 
 
-def sup_gradient(v: SpectralField, refine: int = 1) -> float:
-    """Collocation max of the max-abs entry of the spectral gradient tensor.
+def field_norms(v: SpectralField, params: GevreyParams) -> tuple:
+    """H^r, X and Y norms of one field from one sum of its |v_hat_k|^2.
 
-    refine > 1 evaluates on a zero-padded refine*n grid to reduce the
-    under-resolution bias of plain collocation sampling.
+    X sums (2pi)^3 |k_m|^(2r) exp(2 tau |k_m|^(1/s)) |v_hat_k|^2 over m and
+    k; Y raises the directional exponent r by 1/(2s).
     """
-    if refine > 1:
-        v = _zero_pad(v, refine)
-    return float(np.max(np.abs(gradient_physical(v))))
-
-
-def _zero_pad(v: SpectralField, factor: int) -> SpectralField:
-    n = v.grid.n
-    big = Grid(factor * n)
-    out = SpectralField.zeros(big)
-    idx = v.grid.modes
-    src = np.ix_((0, 1, 2), idx % n, idx % n, idx % n)
-    dst = np.ix_((0, 1, 2), idx % big.n, idx % big.n, idx % big.n)
-    out.coeffs[dst] = v.coeffs[src]
-    return out
-
-
-def _field_norms(v: SpectralField, params: GevreyParams) -> tuple:
-    """H^r, X and Y norms of one field from one sum of its |v_hat_k|^2."""
     power = _power(v)
     marginal = _marginal(power)
     squares = (
         _sobolev_sq(power, params.r),
         _directional_sq(marginal, v.grid, params.r, params.tau, params.s),
-        _directional_sq(marginal, v.grid, _y_exponent(params), params.tau,
-                        params.s),
+        _directional_sq(marginal, v.grid, params.r + 0.5 / params.s,
+                        params.tau, params.s),
     )
     return tuple(float(np.sqrt(sq)) for sq in squares)
 
@@ -187,8 +155,8 @@ def state_norms(omega: SpectralField, current: SpectralField,
 
     Pair norms combine in quadrature: ||pair||^2 = ||omega||^2 + ||J||^2.
     """
-    hr_o, x_o, y_o = _field_norms(omega, params)
-    hr_j, x_j, y_j = _field_norms(current, params)
+    hr_o, x_o, y_o = field_norms(omega, params)
+    hr_j, x_j, y_j = field_norms(current, params)
     return NormRecord(
         hr=float(np.hypot(hr_o, hr_j)),
         x_norm=float(np.hypot(x_o, x_j)),

@@ -131,16 +131,10 @@ def biot_savart(w: SpectralField) -> SpectralField:
             f"biot_savart input is not divergence-free "
             f"(defect {w.divergence_defect():.3e}, tolerance {_DIV_TOL:.1e})"
         )
-    tables = _tables(w.grid.n)
-    k1, k2, k3 = tables.k
-    k2norm = tables.k2norm
-    c = w.coeffs
-    out = np.empty_like(c)
-    out[0] = 1j * (k2 * c[2] - k3 * c[1]) / k2norm
-    out[1] = 1j * (k3 * c[0] - k1 * c[2]) / k2norm
-    out[2] = 1j * (k1 * c[1] - k2 * c[0]) / k2norm
-    out[:, 0, 0, 0] = 0.0
-    return SpectralField(w.grid, out)
+    out = curl(w)
+    out.coeffs /= _tables(w.grid.n).k2norm
+    out.coeffs[:, 0, 0, 0] = 0.0
+    return out
 
 
 def gradient_physical(b: SpectralField) -> np.ndarray:

@@ -105,7 +105,10 @@ def _rk4_interval(tau: float, t0: float, t1: float, a0: float, a1: float,
 
 
 def radius_lower_bound(t: float, model: RadiusModel, integral: float) -> float:
-    """exp(-C I(t)) / (1/tau0 + C0 t + C1 t^2 / 2); equals tau0 at t = 0."""
+    """exp(-C I(t)) / (1/tau0 + C0 t + C1 t^2 / 2).
+
+    At t = 0 this is 1/(1/tau0), which may differ from tau0 in the last bit.
+    """
     denom = 1.0 / model.tau0 + model.C0 * t + 0.5 * model.C1 * t * t
     return float(np.exp(-model.C * integral) / denom)
 

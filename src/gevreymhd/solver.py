@@ -17,6 +17,7 @@ from .norms import (
     fit_radius,
     pair_max_field,
     state_norms,
+    sup_gradient,
 )
 from .operators import biot_savart, curl, gradient_physical, inner_l2
 from .radius import RadiusModel, RadiusTracker
@@ -64,7 +65,6 @@ class RunResult:
     records: list
     state: MHDState
     status: str  # "completed" | "blow-up" | "radius-collapse" | "non-finite"
-    model: RadiusModel | None = None
 
 
 def _nonlinear(state: MHDState):
@@ -269,24 +269,11 @@ def cross_helicity(state: MHDState) -> float:
     return inner_l2(state.u, state.h)
 
 
-def _gradient_sups(v: SpectralField) -> tuple:
-    """Max-abs gradient entry and collocation max of |curl v|, one transform.
-
-    The curl is the antisymmetric part of the gradient tensor, whose entry
-    [m, c] is d_m v_c.
-    """
-    g = gradient_physical(v)
-    rot = np.stack((g[1, 2] - g[2, 1], g[2, 0] - g[0, 2], g[0, 1] - g[1, 0]))
-    # max |g| without an |g| array; negation is exact, so the value is too.
-    grad_sup = max(float(g.max()), -float(g.min()))
-    return grad_sup, float(np.max(np.linalg.norm(rot, axis=0)))
-
-
 def _sample_diagnostics(state: MHDState, params: GevreyParams) -> tuple:
     omega = curl(state.u)
     current = curl(state.h)
-    grad_u, omega_sup = _gradient_sups(state.u)
-    grad_h, current_sup = _gradient_sups(state.h)
+    grad_u, omega_sup = sup_gradient(state.u)
+    grad_h, current_sup = sup_gradient(state.h)
     norms = state_norms(omega, current, params, grad_u, grad_h)
     try:
         tau_fit = fit_radius(pair_max_field(omega, current), params.s)
@@ -305,7 +292,7 @@ def recompute_radius(records: list, model: RadiusModel) -> list:
     first = records[0]
     tracker = RadiusTracker(model, first.t, first.grad_sum, first.norms.hr,
                             first.norms.x_norm)
-    out = [replace(first, tau=model.tau0, tau_lower=tracker.tau_lower,
+    out = [replace(first, tau=model.tau0, tau_lower=model.tau0,
                    grad_integral=tracker.integral)]
     for rec in records[1:]:
         tracker.advance(rec.t, rec.grad_sum, rec.norms.hr)
@@ -384,4 +371,4 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
         # The series, spectrum and checkpoint written from the result must
         # all describe the returned state, so sample it off cadence.
         sample(state)
-    return RunResult(records, state, status, model)
+    return RunResult(records, state, status)

@@ -71,10 +71,9 @@ class Grid:
             k[None, None, :],
         )
 
-    def dealias_mask(self) -> np.ndarray:
-        """Boolean mask keeping modes with every |k_i| <= n/3 (2/3 rule)."""
-        k = self.modes
-        keep1 = np.abs(k) <= self.n / 3.0
+    def band_mask(self, kmax: float) -> np.ndarray:
+        """Boolean (n, n, n) mask of the modes with every |k_i| <= kmax."""
+        keep1 = np.abs(self.modes) <= kmax
         return keep1[:, None, None] & keep1[None, :, None] & keep1[None, None, :]
 
 
@@ -143,7 +142,7 @@ class _Tables:
         self.k = tuple(km.astype(np.complex128) for km in (k1, k2, k3))
         self.ik = tuple(1j * km for km in (k1, k2, k3))
         self.k2norm = k2norm
-        self.mask = grid.dealias_mask()
+        self.mask = grid.band_mask(n / 3.0)
         for table in (*self.k, *self.ik, self.k2norm, self.mask):
             table.flags.writeable = False
 
@@ -415,10 +414,7 @@ def random_band_field(grid: Grid, seed: int | np.random.Generator, kmax: int,
     rng = np.random.default_rng(seed)
     n = grid.n
     raw = rng.standard_normal((3, n, n, n)) + 1j * rng.standard_normal((3, n, n, n))
-    k = grid.modes
-    band1 = np.abs(k) <= kmax
-    band = band1[:, None, None] & band1[None, :, None] & band1[None, None, :]
-    v = SpectralField(grid, amplitude * raw * band)
+    v = SpectralField(grid, amplitude * raw * grid.band_mask(kmax))
     if solenoidal:
         v = leray_project(v)
     return symmetrize(v)

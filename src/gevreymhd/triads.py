@@ -44,12 +44,8 @@ def extract_band(v: SpectralField, kmax: int, strict: bool = True) -> np.ndarray
             f"(~{nmodes**2:.2e} mode pairs)"
         )
     n = v.grid.n
-    modes = v.grid.modes
-    inside = np.abs(modes) <= kmax
     if strict:
-        outside = ~(
-            inside[:, None, None] & inside[None, :, None] & inside[None, None, :]
-        )
+        outside = ~v.grid.band_mask(kmax)
         leak = float(np.max(np.abs(v.coeffs[:, outside]))) if outside.any() else 0.0
         if leak > 1e-13 * max(v.max_amplitude(), 1.0):
             raise BandError(

@@ -140,3 +140,17 @@ def test_skipped_radius_fit_is_reported(tmp_path):
         "tau uses C = 1"
     ]
     assert len((tmp_path / "out" / "series.csv").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("argv", [("run",), ("verify", "bogus"),
+                                  ("fit-radius", "state.gmhd", "--s", "1.5")])
+def test_usage_error_exits_one(tmp_path, argv):
+    out = run_cli(tmp_path, *argv)
+    assert out.returncode == 1
+    assert "usage: gevreymhd" in out.stderr
+
+
+def test_help_exits_zero(tmp_path):
+    out = run_cli(tmp_path, "--help")
+    assert out.returncode == 0
+    assert "usage: gevreymhd" in out.stdout

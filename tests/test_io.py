@@ -237,10 +237,30 @@ class TestCli:
                             "amplitude = 0.001")
         cfg = write_cfg(tmp_path, text)
         assert self.run_cli("run", str(cfg)) == 0
-        assert self.run_cli(
-            "fit-radius", str(tmp_path / "out" / "c.gmhd"), "--s", "1.0"
-        ) == 0
+        assert self.run_cli("fit-radius", str(tmp_path / "out" / "c.gmhd")) == 0
         assert "tau_fit=" in capsys.readouterr().out
+
+    def test_fit_radius_uses_the_checkpoint_s(self, tmp_path, capsys):
+        text = BASE_CFG.format(outdir=tmp_path / "out").replace(
+            "r = 3.0", "r = 4.5\ns = 1.5") + "checkpoint = c.gmhd\n"
+        assert self.run_cli("run", str(write_cfg(tmp_path, text))) == 0
+        capsys.readouterr()
+        last = (tmp_path / "out" / "series.csv").read_text().splitlines()[-1]
+        tau_fit = last.split(",")[9]
+        assert self.run_cli("fit-radius", str(tmp_path / "out" / "c.gmhd")) == 0
+        assert capsys.readouterr().out.rstrip().endswith(f"tau_fit={tau_fit}")
+
+    def test_fitted_run_starts_tau_lower_at_tau0(self, tmp_path, capsys):
+        # 1/(1/0.11) is 0.10999999999999999, which the first row once took
+        text = BASE_CFG.format(outdir=tmp_path / "out").replace(
+            "tau0 = 0.1", "tau0 = 0.11").replace(
+            "t_end = 0.05", "t_end = 0.1").replace(
+            "cadence = 5", "cadence = 1") + "\n[radius]\nc = fit\n"
+        assert self.run_cli("run", str(write_cfg(tmp_path, text))) == 0
+        assert "fitted constants" in capsys.readouterr().out
+        rows = (tmp_path / "out" / "series.csv").read_text().splitlines()
+        first = rows[1].split(",")
+        assert (first[8], first[10]) == ("0.11", "0.11")
 
     def test_verify_all_passes(self, capsys):
         assert self.run_cli("verify", "all", "--range", "40") == 0

@@ -5,22 +5,21 @@ from gevreymhd.norms import (
     GevreyParams,
     NormRecord,
     RadiusFitError,
-    directional_norm_sq,
+    field_norms,
     fit_radius,
-    gevrey_norm,
     shell_maxima,
     shell_spectrum,
-    sobolev_norm,
     state_norms,
     sup_gradient,
 )
-from gevreymhd.operators import MultiplierError
+from gevreymhd.operators import MultiplierError, curl, gradient_physical
 from gevreymhd.spectral import (
     Grid,
     SpectralField,
     mode_field,
     random_band,
     random_band_field,
+    to_physical,
 )
 
 from oracles import (
@@ -58,13 +57,15 @@ class TestNorms:
         f = mode_field(g, [((1, 2, 0), (0.5, 0.0, 0.0))])
         # two conjugate modes, each |c|^2 = 0.25, weight (1+5)^2 = 36
         expected = np.sqrt(TWO_PI_CUBED * 2 * 0.25 * 36.0)
-        assert sobolev_norm(f, 2.0) == pytest.approx(expected, rel=1e-13)
+        hr = field_norms(f, GevreyParams(r=2.0))[0]
+        assert hr == pytest.approx(expected, rel=1e-13)
 
     def test_sobolev_matches_naive_oracle(self):
         g = Grid(8)
         f = random_band(g, seed=21, kmax=2).u
         oracle = np.sqrt(naive_sobolev_sq(field_to_modes(f), 2.5))
-        assert sobolev_norm(f, 2.5) == pytest.approx(oracle, rel=1e-12)
+        hr = field_norms(f, GevreyParams(r=2.5))[0]
+        assert hr == pytest.approx(oracle, rel=1e-12)
 
     def test_gevrey_single_mode_x_norm(self):
         g = Grid(8)
@@ -74,24 +75,31 @@ class TestNorms:
         expected = np.sqrt(
             TWO_PI_CUBED * 2 * 0.25 * (np.exp(0.6) + 4.0 * np.exp(1.2))
         )
-        assert gevrey_norm(f, params, "X") == pytest.approx(expected, rel=1e-13)
+        assert field_norms(f, params)[1] == pytest.approx(expected, rel=1e-13)
 
     def test_y_dominates_x(self):
         g = Grid(16)
         f = random_band(g, seed=22, kmax=4).u
         params = GevreyParams(r=1.5, s=2.0, tau=0.2)
-        assert gevrey_norm(f, params, "Y") >= gevrey_norm(f, params, "X")
-
-    def test_invalid_space_rejected(self):
-        f = random_band(Grid(8), seed=0, kmax=2).u
-        with pytest.raises(ValueError):
-            gevrey_norm(f, GevreyParams(r=1.0), "Z")
+        _hr, x, y = field_norms(f, params)
+        assert y >= x
 
     def test_sup_gradient_single_mode(self):
         g = Grid(16)
         f = mode_field(g, [((3, 0, 0), (0.0, 0.5, 0.0))])  # cos(3x) e_2
-        # d_x cos(3x) = -3 sin(3x): sup = 3, attained near collocation points
-        assert sup_gradient(f, refine=4) == pytest.approx(3.0, rel=1e-3)
+        # d_x cos(3x) = -3 sin(3x) = curl_3: 3x hits pi/2 mod 2pi at a
+        # collocation point of Grid(16), since gcd(3, 16) = 1
+        grad_sup, curl_sup = sup_gradient(f)
+        assert grad_sup == pytest.approx(3.0, rel=1e-13)
+        assert curl_sup == pytest.approx(3.0, rel=1e-13)
+
+    def test_sup_gradient_matches_gradient_and_curl_samples(self):
+        v = random_band(Grid(16), seed=25, kmax=4).u
+        grad_sup, curl_sup = sup_gradient(v)
+        assert grad_sup == np.max(np.abs(gradient_physical(v)))
+        curl_samples = to_physical(curl(v))
+        assert curl_sup == pytest.approx(
+            np.max(np.linalg.norm(curl_samples, axis=0)), rel=1e-13)
 
     def test_state_norms_quadrature_combination(self):
         g = Grid(16)
@@ -117,20 +125,17 @@ class TestNormsMatchFullArrayFormulas:
                 random_band_field(g, 52, 5, amplitude=0.3, solenoidal=False))
 
     @pytest.mark.parametrize("s", [1.0, 2.0])
-    @pytest.mark.parametrize("r", [0.0, 2.5])
+    @pytest.mark.parametrize("r", [2.5])
     def test_single_field_norms(self, r, s):
         v, _ = self.fields()
-        assert sobolev_norm(v, r) == pytest.approx(
+        hr, x, y = field_norms(v, GevreyParams(r=r, s=s, tau=0.3))
+        assert hr == pytest.approx(
             np.sqrt(full_array_sobolev_sq(v, r)), rel=1e-13)
-        assert directional_norm_sq(v, r, 0.3, s) == pytest.approx(
-            full_array_directional_sq(v, r, 0.3, s), rel=1e-13)
-        if r > 0:
-            params = GevreyParams(r=r, s=s, tau=0.3)
-            assert gevrey_norm(v, params, "X") == pytest.approx(
-                np.sqrt(full_array_directional_sq(v, r, 0.3, s)), rel=1e-13)
-            assert gevrey_norm(v, params, "Y") == pytest.approx(
-                np.sqrt(full_array_directional_sq(v, r + 0.5 / s, 0.3, s)),
-                rel=1e-13)
+        assert x == pytest.approx(
+            np.sqrt(full_array_directional_sq(v, r, 0.3, s)), rel=1e-13)
+        assert y == pytest.approx(
+            np.sqrt(full_array_directional_sq(v, r + 0.5 / s, 0.3, s)),
+            rel=1e-13)
 
     @pytest.mark.parametrize("s", [1.0, 2.0])
     def test_state_norms(self, s):
@@ -159,7 +164,7 @@ class TestNormsMatchFullArrayFormulas:
         omega, current = self.fields()
         params = GevreyParams(r=1.0, s=1.0, tau=800.0)
         with pytest.raises(MultiplierError, match="overflow"):
-            gevrey_norm(omega, params, "X")
+            field_norms(omega, params)
         with pytest.raises(MultiplierError, match="overflow"):
             state_norms(omega, current, params, 1.0, 1.0)
 

@@ -46,7 +46,7 @@ class TestGrid:
 
     def test_dealias_mask_keeps_third(self):
         g = Grid(12)
-        mask = g.dealias_mask()
+        mask = g.band_mask(g.n / 3)
         k = g.modes
         for i, ki in enumerate(k):
             expected = abs(ki) <= 4
