@@ -19,7 +19,7 @@ from .norms import (
     RadiusFitError,
     SubcriticalWarning,
     fit_radius,
-    pair_max_field,
+    mode_amplitude,
     shell_spectrum,
 )
 from .operators import MultiplierSpec, curl
@@ -49,7 +49,7 @@ def _write_series(path: Path, records) -> None:
 
 
 def _write_spectrum(path: Path, state) -> None:
-    columns = shell_spectrum(pair_max_field(curl(state.u), curl(state.h)))
+    columns = shell_spectrum(mode_amplitude(curl(state.u), curl(state.h)))
     lines = [SPECTRUM_HEADER]
     for p, row in enumerate(zip(*columns)):
         lines.append(",".join([str(p), *map(_fmt, row)]))
@@ -126,9 +126,9 @@ def cmd_resume(args) -> int:
 
 def cmd_fit_radius(args) -> int:
     state, params, tau = load_checkpoint(args.checkpoint)
-    envelope = pair_max_field(curl(state.u), curl(state.h))
     try:
-        fitted = fit_radius(envelope, params.s)
+        fitted = fit_radius(mode_amplitude(curl(state.u), curl(state.h)),
+                            params.s)
     except RadiusFitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return 2
@@ -141,6 +141,11 @@ def cmd_verify(args) -> int:
     # keeps it out of every other command's start-up.
     from . import lab
 
+    if not 1 <= args.range <= lab.SWEEP_CAP or args.seed < 0:
+        print(f"usage: gevreymhd verify needs 1 <= --range <= {lab.SWEEP_CAP} "
+              f"and --seed >= 0, got {args.range} and {args.seed}",
+              file=sys.stderr)
+        return 1
     reports: list = []
     if args.suite in ("identities", "all"):
         st = random_band(Grid(16), seed=args.seed, kmax=4, amplitude=1.0)

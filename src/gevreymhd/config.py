@@ -4,6 +4,7 @@ Unknown keys are rejected; missing required keys are reported all at once.
 """
 
 import configparser
+import math
 from pathlib import Path
 
 from .norms import GevreyParams
@@ -63,6 +64,14 @@ class RunConfig:
             errors.append(f"time.t_end must be > 0, got {self.t_end}")
         if (self.dt is None) == (self.cfl is None):
             errors.append("exactly one of time.dt and time.cfl is required")
+        for key, value in (("dt", self.dt), ("cfl", self.cfl)):
+            if value is not None and value <= 0:
+                errors.append(f"time.{key} must be > 0, got {value}")
+        if self.seed < 0:
+            errors.append(f"initial.seed must be >= 0, got {self.seed}")
+        if self.kind == "random-band" and self.kmax >= self.n / 3:
+            errors.append(f"initial.kmax must be < grid.n/3 = {self.n / 3:.4g} "
+                          f"for random-band, got {self.kmax}")
         if self.cadence < 1:
             errors.append(f"time.cadence must be >= 1, got {self.cadence}")
         if self.params.tau <= 0:
@@ -114,9 +123,11 @@ def load_config(path) -> RunConfig:
                 values[key] = default
                 continue
             try:
-                values[key] = cast(parser.get(section, key))
+                values[key] = value = cast(parser.get(section, key))
             except ValueError as exc:
                 raise ConfigError(f"{section}.{key}: {exc}") from exc
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{section}.{key} must be finite, got {value}")
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
     return RunConfig(**values)

@@ -167,6 +167,9 @@ def triad_decomposition_check(u: SpectralField, h: SpectralField,
     return TriadReport(which, lhs, parts, res, scale)
 
 
+SWEEP_CAP = 200  # largest bound of the scalar sweep
+
+
 def scalar_inequality_suite(bound: int, s_values, r: float = 3.6) -> dict:
     """Exhaustive integer sweeps of the scalar identities and bounds.
 
@@ -181,8 +184,8 @@ def scalar_inequality_suite(bound: int, s_values, r: float = 3.6) -> dict:
     Returns a dict name -> InequalityReport; empirical constants are reported
     for the C-form bounds.
     """
-    if bound > 200:
-        raise ValueError(f"sweep bound {bound} exceeds the cap 200")
+    if bound > SWEEP_CAP:
+        raise ValueError(f"sweep bound {bound} exceeds the cap {SWEEP_CAP}")
     vals = np.arange(-bound, bound + 1)
     jm, km = np.meshgrid(vals, vals, indexing="ij")
     lm = -jm - km

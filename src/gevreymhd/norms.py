@@ -172,56 +172,48 @@ def state_norms(omega: SpectralField, current: SpectralField,
     )
 
 
-def pair_max_field(omega: SpectralField, current: SpectralField) -> SpectralField:
-    """Mode-wise max-amplitude envelope of the pair, for radius fitting."""
-    amp = np.maximum(np.abs(omega.coeffs), np.abs(current.coeffs))
-    return SpectralField(omega.grid, amp.astype(np.complex128))
+def mode_amplitude(*fields: SpectralField) -> np.ndarray:
+    """Largest component magnitude over the fields per mode, shape (n, n, n).
+
+    The shell maxima, the shell spectrum and the radius fit all read it.
+    """
+    return np.max([np.abs(v.coeffs).max(axis=0) for v in fields], axis=0)
 
 
-def _shell_modes(v: SpectralField) -> tuple:
-    """|k|_1 shell index and largest component magnitude of every mode, flat."""
-    k1, k2, k3 = v.grid.wavevectors()
+def _per_shell(ufunc, values: np.ndarray) -> np.ndarray:
+    """Reduce an (n, n, n) array into a zero-started entry per |k|_1 shell."""
+    k1, k2, k3 = Grid(values.shape[0]).wavevectors()
     shells = (np.abs(k1) + np.abs(k2) + np.abs(k3)).ravel()
-    amp = np.max(np.abs(v.coeffs), axis=0).ravel()
-    return shells, amp
-
-
-def _per_shell(ufunc, shells: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Reduce values into a zero-started entry per shell, in flat mode order."""
     out = np.zeros(int(shells.max()) + 1)
-    ufunc.at(out, shells, values)
+    ufunc.at(out, shells, values.ravel())
     return out
 
 
-def shell_maxima(v: SpectralField) -> np.ndarray:
-    """Max coefficient magnitude per |k|_1 shell; entry [p] is shell |k|_1 = p."""
-    shells, amp = _shell_modes(v)
-    return _per_shell(np.maximum, shells, amp)
+def shell_maxima(amp: np.ndarray) -> np.ndarray:
+    """Max mode amplitude per |k|_1 shell; entry [p] is shell |k|_1 = p."""
+    return _per_shell(np.maximum, amp)
 
 
-def shell_spectrum(v: SpectralField) -> tuple:
+def shell_spectrum(amp: np.ndarray) -> tuple:
     """Spectrum columns per |k|_1 shell: k1_abs_max, amplitude_max, amplitude_l2.
 
-    A mode's amplitude is its largest component magnitude; k1_abs_max is the
-    largest |k_1| of a mode with nonzero amplitude.
+    k1_abs_max is the largest |k_1| of a mode with nonzero amplitude.
     """
-    shells, amp = _shell_modes(v)
-    absk1 = np.broadcast_to(np.abs(v.grid.wavevectors()[0]),
-                            (v.grid.n,) * 3).ravel()
+    absk1 = np.abs(Grid(amp.shape[0]).wavevectors()[0])
     # Float values: ufunc.at takes its fast path only without a cast.
-    return (_per_shell(np.maximum, shells, np.where(amp > 0, absk1, 0.0)),
-            _per_shell(np.maximum, shells, amp),
-            np.sqrt(_per_shell(np.add, shells, amp**2)))
+    return (_per_shell(np.maximum, np.where(amp > 0, absk1, 0.0)),
+            _per_shell(np.maximum, amp),
+            np.sqrt(_per_shell(np.add, amp**2)))
 
 
-def fit_radius(v: SpectralField, s: float = 1.0,
+def fit_radius(amp: np.ndarray, s: float = 1.0,
                noise_floor: float = 1e-14) -> float:
     """Least-squares decay rate of log shell maxima against -|k|_1^(1/s).
 
     Returns the fitted tau clamped at 0.  Shells at or below the noise floor
     are excluded; at least 4 usable shells (|k|_1 >= 1) are required.
     """
-    maxima = shell_maxima(v)
+    maxima = shell_maxima(amp)
     ks = np.arange(len(maxima))
     usable = (ks >= 1) & (maxima > noise_floor)
     if np.count_nonzero(usable) < 4:

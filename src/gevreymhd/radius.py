@@ -6,7 +6,7 @@ Gronwall majorant M(t)).  RadiusTracker is the one place that computes the
 gradient integral I(t), M(t) and tau.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,31 +114,41 @@ def radius_lower_bound(t: float, model: RadiusModel, integral: float) -> float:
 
 
 class RadiusTracker:
-    """The radius pipeline advanced by one sample interval at a time.
+    """The radius pipeline fed one diagnostics record at a time.
 
     Carries I(t), the inner Gronwall integral, the ODE coefficients and tau
     at the latest sample.  I(t) and the inner integral are trapezoidal sums
     at the sampling cadence, and M(t) = G(t) [x0 + C (1 + tau0) inner(t)]
-    with G = exp(C I(t)) and inner(t) = int_0^t hr^2 / G.  Each advance costs
+    with G = exp(C I(t)) and inner(t) = int_0^t hr^2 / G.  Each record costs
     the same whatever the history length.  After a RadiusCollapse, tau stays
     at 1e-300 and `collapsed` is set.
     """
 
-    def __init__(self, model: RadiusModel, t0: float, grad_sum: float,
-                 hr: float, x0: float):
-        self.model = model.populate_from_initial(hr, x0)
-        self.t0 = self.t = t0
-        self.x0 = x0
-        self.integral = self.inner = 0.0
-        self.grad_sum, self.weight = grad_sum, hr * hr
-        # At t0, G = 1 and the majorant is x0.
-        self.a, self.b = model.C * grad_sum, model.C * (hr + x0)
-        self.tau = model.tau0
+    def __init__(self, model: RadiusModel):
+        self.model = model
+        self.t = None  # no record taken in yet
         self.collapsed = False
 
-    def advance(self, t: float, grad_sum: float, hr: float) -> None:
-        """Take in the sample at time t and integrate tau up to it."""
-        C, span = self.model.C, t - self.t
+    def track(self, rec):
+        """The record with tau, tau_lower and grad_integral filled in.
+
+        The first record starts the chain: it sets C0 and C1 from its norms,
+        and there I = 0 and tau = tau_lower = tau0.
+        """
+        model, t, grad_sum, hr = self.model, rec.t, rec.grad_sum, rec.norms.hr
+        C = model.C
+        if self.t is None:
+            self.x0 = x0 = rec.norms.x_norm
+            model.populate_from_initial(hr, x0)
+            self.t0 = self.t = t
+            self.integral = self.inner = 0.0
+            self.grad_sum, self.weight = grad_sum, hr * hr
+            # At t0, G = 1 and the majorant is x0.
+            self.a, self.b = C * grad_sum, C * (hr + x0)
+            self.tau = model.tau0
+            return replace(rec, tau=model.tau0, tau_lower=model.tau0,
+                           grad_integral=0.0)
+        span = t - self.t
         self.integral += 0.5 * (grad_sum + self.grad_sum) * span
         # G and the majorant may overflow to inf; _rk4_interval then reports
         # a collapse.
@@ -146,7 +156,7 @@ class RadiusTracker:
             G = np.exp(C * self.integral)
             weight = hr * hr / G
             self.inner += 0.5 * (weight + self.weight) * span
-            majorant = G * (self.x0 + C * (1.0 + self.model.tau0) * self.inner)
+            majorant = G * (self.x0 + C * (1.0 + model.tau0) * self.inner)
             a, b = C * grad_sum, C * (hr + majorant)
         if not self.collapsed:
             try:
@@ -156,11 +166,9 @@ class RadiusTracker:
                 self.tau, self.collapsed = 1e-300, True
         self.t, self.grad_sum, self.weight = t, grad_sum, weight
         self.a, self.b = a, b
-
-    @property
-    def tau_lower(self) -> float:
-        """The explicit lower bound at the latest sample."""
-        return radius_lower_bound(self.t - self.t0, self.model, self.integral)
+        return replace(rec, tau=self.tau, grad_integral=self.integral,
+                       tau_lower=radius_lower_bound(t - self.t0, model,
+                                                    self.integral))
 
 
 def estimate_C_tilde(hr_series, grad_integral) -> float:

@@ -6,7 +6,7 @@ The vorticity/current pair and its evolution equation are available as
 diagnostics, and the run loop feeds the analyticity-radius tracker.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from .norms import (
     NormRecord,
     RadiusFitError,
     fit_radius,
-    pair_max_field,
+    mode_amplitude,
     state_norms,
     sup_gradient,
 )
@@ -54,9 +54,9 @@ class DiagnosticsRecord:
     bkm_integrand: float
     grad_sum: float
     norms: NormRecord
-    tau: float
     tau_fit: float
-    tau_lower: float
+    tau: float = float("nan")  # this and below: set by RadiusTracker.track
+    tau_lower: float = float("nan")
     grad_integral: float = 0.0  # I(t), the time integral of grad_sum
 
 
@@ -269,17 +269,26 @@ def cross_helicity(state: MHDState) -> float:
     return inner_l2(state.u, state.h)
 
 
-def _sample_diagnostics(state: MHDState, params: GevreyParams) -> tuple:
+BLOWUP_FACTOR = 1e6  # bound on the growth of bkm_integrand in a run
+
+
+def _sample_diagnostics(state: MHDState, params: GevreyParams):
+    """The record of a state with every column but the radius ones."""
     omega = curl(state.u)
     current = curl(state.h)
     grad_u, omega_sup = sup_gradient(state.u)
     grad_h, current_sup = sup_gradient(state.h)
     norms = state_norms(omega, current, params, grad_u, grad_h)
     try:
-        tau_fit = fit_radius(pair_max_field(omega, current), params.s)
+        tau_fit = fit_radius(mode_amplitude(omega, current), params.s)
     except RadiusFitError:
         tau_fit = float("nan")
-    return norms, omega_sup + current_sup, grad_u + grad_h, tau_fit
+    del omega, current
+    return DiagnosticsRecord(
+        t=state.t, energy=energy(state), cross_helicity=cross_helicity(state),
+        bkm_integrand=omega_sup + current_sup, grad_sum=grad_u + grad_h,
+        norms=norms, tau_fit=tau_fit,
+    )
 
 
 def recompute_radius(records: list, model: RadiusModel) -> list:
@@ -289,58 +298,34 @@ def recompute_radius(records: list, model: RadiusModel) -> list:
     diagnostics are untouched.  Useful after fitting the constants from a
     completed run.
     """
-    first = records[0]
-    tracker = RadiusTracker(model, first.t, first.grad_sum, first.norms.hr,
-                            first.norms.x_norm)
-    out = [replace(first, tau=model.tau0, tau_lower=model.tau0,
-                   grad_integral=tracker.integral)]
-    for rec in records[1:]:
-        tracker.advance(rec.t, rec.grad_sum, rec.norms.hr)
-        out.append(replace(rec, tau=tracker.tau, tau_lower=tracker.tau_lower,
-                           grad_integral=tracker.integral))
-    return out
+    tracker = RadiusTracker(model)
+    return [tracker.track(rec) for rec in records]
 
 
 def run(state: MHDState, *, params: GevreyParams, t_end: float,
         dt: float | None = None, cfl: float | None = None,
-        cadence: int = 1, model: RadiusModel | None = None,
-        blowup_factor: float = 1e6) -> RunResult:
+        cadence: int = 1, model: RadiusModel | None = None) -> RunResult:
     """Step until t_end, sampling diagnostics every `cadence` steps.
 
-    The radius tracker advances at the same cadence using the measured
-    gradient sup-norms, Sobolev norm and Gronwall majorant.  The run aborts
-    with status "blow-up" when the continuation-criterion integrand grows by
-    more than blowup_factor from its initial value, and with status
-    "non-finite" when a step produces non-finite values; the state returned
-    is then the one before that step, and the last record samples it.
+    Every sample record, the initial one first, goes through the radius
+    tracker.  The run aborts with status "blow-up" when bkm_integrand
+    grows by more than BLOWUP_FACTOR from its initial value, with status
+    "radius-collapse" when tau collapses, and with status "non-finite" when
+    a step produces non-finite values; the state returned is then the one
+    before that step, and the last record samples it.
     """
     if (dt is None) == (cfl is None):
         raise ValueError("exactly one of dt and cfl must be given")
     params.warn_if_subcritical()
     if model is None:
         model = RadiusModel(tau0=params.tau if params.tau > 0 else 1.0)
+    tracker, records = RadiusTracker(model), []
 
-    norms, bkm, grad_sum, tau_fit = _sample_diagnostics(state, params)
-    tracker = RadiusTracker(model, state.t, grad_sum, norms.hr, norms.x_norm)
-    bkm0 = max(bkm, 1e-300)
-    records = [DiagnosticsRecord(
-        t=state.t, energy=energy(state), cross_helicity=cross_helicity(state),
-        bkm_integrand=bkm, grad_sum=grad_sum, norms=norms,
-        tau=model.tau0, tau_fit=tau_fit, tau_lower=model.tau0,
-    )]
+    def sample(state: MHDState) -> None:
+        records.append(tracker.track(_sample_diagnostics(state, params)))
 
-    def sample(state: MHDState) -> float:
-        norms, bkm, grad_sum, tau_fit = _sample_diagnostics(state, params)
-        tracker.advance(state.t, grad_sum, norms.hr)
-        records.append(DiagnosticsRecord(
-            t=state.t, energy=energy(state),
-            cross_helicity=cross_helicity(state),
-            bkm_integrand=bkm, grad_sum=grad_sum, norms=norms,
-            tau=tracker.tau, tau_fit=tau_fit, tau_lower=tracker.tau_lower,
-            grad_integral=tracker.integral,
-        ))
-        return bkm
-
+    sample(state)
+    bkm0 = max(records[0].bkm_integrand, 1e-300)
     status = "completed"
     steps_done = 0
     # One stop time for the loop and the final off-cadence sample, so a
@@ -360,11 +345,11 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
         if steps_done % cadence != 0 and state.t < t_stop:
             continue
 
-        bkm = sample(state)
+        sample(state)
         if tracker.collapsed:
             status = "radius-collapse"
             break
-        if bkm > blowup_factor * bkm0:
+        if records[-1].bkm_integrand > BLOWUP_FACTOR * bkm0:
             status = "blow-up"
             break
     if status == "non-finite" and records[-1].t != state.t:

@@ -142,12 +142,40 @@ def test_skipped_radius_fit_is_reported(tmp_path):
     assert len((tmp_path / "out" / "series.csv").read_text().splitlines()) == 3
 
 
-@pytest.mark.parametrize("argv", [("run",), ("verify", "bogus"),
-                                  ("fit-radius", "state.gmhd", "--s", "1.5")])
+@pytest.mark.parametrize("old, new, prefix", [
+    ("dt = 0.01", "dt = 0", "time.dt must be > 0"),
+    ("dt = 0.01", "dt = -0.01", "time.dt must be > 0"),
+    ("dt = 0.01", "cfl = -0.5", "time.cfl must be > 0"),
+    ("kind = taylor-green", "kind = random-band\nseed = -1",
+     "initial.seed must be >= 0"),
+    ("n = 16\n[initial]\nkind = taylor-green",
+     "n = 8\n[initial]\nkind = random-band\nkmax = 3",
+     "initial.kmax must be < grid.n/3"),
+    ("r = 4.5", "r = nan", "gevrey.r must be finite"),
+    ("t_end = 0.05", "t_end = nan", "time.t_end must be finite"),
+])
+def test_run_rejects_values_the_solver_cannot_use(tmp_path, old, new, prefix):
+    assert old in CFG
+    (tmp_path / "run.cfg").write_text(CFG.replace(old, new))
+    out = run_cli(tmp_path, "run", "run.cfg")
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"config error: {prefix}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("run",), ("verify", "bogus"), ("fit-radius", "state.gmhd", "--s", "1.5"),
+    ("verify", "inequalities", "--range", "0"),
+    ("verify", "inequalities", "--range", "300"),
+    ("verify", "identities", "--seed", "-1"),
+])
 def test_usage_error_exits_one(tmp_path, argv):
     out = run_cli(tmp_path, *argv)
     assert out.returncode == 1
     assert "usage: gevreymhd" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_help_exits_zero(tmp_path):

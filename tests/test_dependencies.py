@@ -1,0 +1,24 @@
+"""The package imports nothing beyond the standard library and its declared
+dependencies (numpy, as pyproject.toml lists)."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gevreymhd"
+
+
+def test_every_import_is_stdlib_numpy_or_the_package():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "gevreymhd"}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        # ast.walk also reaches imports inside function bodies.
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found.update((path.name, a.name.split(".")[0])
+                             for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((path.name, node.module.split(".")[0]))
+    assert ("cli.py", "argparse") in found
+    assert ("spectral.py", "concurrent") in found  # a function-local import
+    assert sorted((f, m) for f, m in found if m not in allowed) == []

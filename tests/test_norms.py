@@ -7,6 +7,7 @@ from gevreymhd.norms import (
     RadiusFitError,
     field_norms,
     fit_radius,
+    mode_amplitude,
     shell_maxima,
     shell_spectrum,
     state_norms,
@@ -174,28 +175,34 @@ class TestRadiusFit:
         g = Grid(8)
         f = mode_field(g, [((1, 1, 0), (0.0, 0.0, 0.3)),
                            ((2, 0, 0), (0.0, 0.1, 0.0))])
-        shells = shell_maxima(f)
+        shells = shell_maxima(mode_amplitude(f))
         assert shells[2] == pytest.approx(0.3)
         assert shells[1] == 0.0
 
     def test_shell_spectrum_matches_mode_loop(self):
         g = Grid(8)
-        f = random_band(g, seed=24, kmax=2).u
+        state = random_band(g, seed=24, kmax=2)
+        f = state.u
         f.coeffs[:, 1, 1, 1] = 0.0  # an empty mode must not set k1_abs_max
-        k1max, amax, l2 = np.zeros((3, 13))
-        for i, j, k in np.ndindex(8, 8, 8):
-            k1, k2, k3 = g.modes[i], g.modes[j], g.modes[k]
-            p = abs(k1) + abs(k2) + abs(k3)
-            amp = np.max(np.abs(f.coeffs[:, i, j, k]))
-            if amp > 0:
-                k1max[p] = max(k1max[p], abs(k1))
-            amax[p] = max(amax[p], amp)
-            l2[p] += amp**2
-        got = shell_spectrum(f)
-        assert np.array_equal(got[0], k1max)
-        assert np.array_equal(got[1], amax)
-        assert np.array_equal(got[2], np.sqrt(l2))
-        assert np.array_equal(shell_maxima(f), amax)
+        # One field, and a pair whose amplitude is the max over all six
+        # component magnitudes.
+        for fields in ((f,), (f, state.h)):
+            k1max, amax, l2 = np.zeros((3, 13))
+            for i, j, k in np.ndindex(8, 8, 8):
+                k1, k2, k3 = g.modes[i], g.modes[j], g.modes[k]
+                p = abs(k1) + abs(k2) + abs(k3)
+                amp = max(np.max(np.abs(v.coeffs[:, i, j, k]))
+                          for v in fields)
+                if amp > 0:
+                    k1max[p] = max(k1max[p], abs(k1))
+                amax[p] = max(amax[p], amp)
+                l2[p] += amp**2
+            amplitude = mode_amplitude(*fields)
+            got = shell_spectrum(amplitude)
+            assert np.array_equal(got[0], k1max)
+            assert np.array_equal(got[1], amax)
+            assert np.array_equal(got[2], np.sqrt(l2))
+            assert np.array_equal(shell_maxima(amplitude), amax)
 
     def test_fit_recovers_synthetic_decay(self):
         g = Grid(16)
@@ -205,7 +212,8 @@ class TestRadiusFit:
         coeffs = np.exp(-tau_true * l1) * np.ones((3, 16, 16, 16))
         coeffs[:, 0, 0, 0] = 0.0
         f = SpectralField(g, coeffs.astype(np.complex128))
-        assert fit_radius(f, s=1.0) == pytest.approx(tau_true, rel=1e-10)
+        assert fit_radius(mode_amplitude(f), s=1.0) == pytest.approx(
+            tau_true, rel=1e-10)
 
     def test_fit_with_gevrey_exponent(self):
         g = Grid(16)
@@ -215,14 +223,15 @@ class TestRadiusFit:
         coeffs = np.exp(-tau_true * np.sqrt(l1)) * np.ones((3, 16, 16, 16))
         coeffs[:, 0, 0, 0] = 0.0
         f = SpectralField(g, coeffs.astype(np.complex128))
-        assert fit_radius(f, s=2.0) == pytest.approx(tau_true, rel=1e-10)
+        assert fit_radius(mode_amplitude(f), s=2.0) == pytest.approx(
+            tau_true, rel=1e-10)
 
     def test_fit_needs_four_shells(self):
         g = Grid(16)
         f = mode_field(g, [((1, 0, 0), (0.0, 1.0, 0.0)),
                            ((2, 0, 0), (0.0, 0.5, 0.0))])
         with pytest.raises(RadiusFitError, match="shells"):
-            fit_radius(f, s=1.0)
+            fit_radius(mode_amplitude(f), s=1.0)
 
     def test_noise_floor_excludes_tiny_shells(self):
         g = Grid(16)
@@ -232,6 +241,7 @@ class TestRadiusFit:
         coeffs[:, 0, 0, 0] = 0.0
         f = SpectralField(g, coeffs.astype(np.complex128))
         # raise the floor so high shells drop out but the fit still works
-        assert fit_radius(f, s=1.0, noise_floor=1e-3) == pytest.approx(
+        assert fit_radius(mode_amplitude(f), s=1.0,
+                          noise_floor=1e-3) == pytest.approx(
             0.5, rel=1e-8
         )

@@ -12,6 +12,7 @@ from gevreymhd.operators import (
     gradient_physical,
     inner_l2,
 )
+from gevreymhd import solver
 from gevreymhd.radius import RadiusModel, radius_lower_bound
 from gevreymhd.solver import (
     StepError,
@@ -343,12 +344,12 @@ class TestRunLoop:
         for rec in res.records:
             assert rec.tau >= rec.tau_lower * (1.0 - 1e-9)
 
-    def test_blowup_heuristic_triggers(self):
+    def test_blowup_heuristic_triggers(self, monkeypatch):
         st = taylor_green_mhd(Grid(16))
         # Taylor-Green sup norms decay slightly, so a factor just below the
         # first sampled ratio flags immediately
-        res = run(st, params=smooth_params(), t_end=0.1, dt=0.01,
-                  cadence=1, blowup_factor=0.99)
+        monkeypatch.setattr(solver, "BLOWUP_FACTOR", 0.99)
+        res = run(st, params=smooth_params(), t_end=0.1, dt=0.01, cadence=1)
         assert res.status == "blow-up"
         assert len(res.records) == 2
 
