@@ -46,10 +46,6 @@ class RunConfig:
 
     def __init__(self, **values):
         self.__dict__.update(values)
-        try:
-            self.params = GevreyParams(r=self.r, s=self.s, tau=self.tau0)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         errors = []
         if self.n < 8 or self.n > 512 or (self.n & (self.n - 1)) != 0:
             errors.append(
@@ -69,13 +65,22 @@ class RunConfig:
                 errors.append(f"time.{key} must be > 0, got {value}")
         if self.seed < 0:
             errors.append(f"initial.seed must be >= 0, got {self.seed}")
-        if self.kind == "random-band" and self.kmax >= self.n / 3:
-            errors.append(f"initial.kmax must be < grid.n/3 = {self.n / 3:.4g} "
-                          f"for random-band, got {self.kmax}")
+        if self.kind == "random-band":
+            if self.kmax < 1:
+                errors.append(f"initial.kmax must be >= 1 for random-band, "
+                              f"got {self.kmax}")
+            if self.kmax >= self.n / 3:
+                errors.append(f"initial.kmax must be < grid.n/3 = "
+                              f"{self.n / 3:.4g} for random-band, "
+                              f"got {self.kmax}")
         if self.cadence < 1:
             errors.append(f"time.cadence must be >= 1, got {self.cadence}")
-        if self.params.tau <= 0:
-            errors.append(f"gevrey.tau0 must be > 0, got {self.params.tau}")
+        if self.r <= 0:
+            errors.append(f"gevrey.r must be > 0, got {self.r}")
+        if self.s < 1:
+            errors.append(f"gevrey.s must be >= 1, got {self.s}")
+        if self.tau0 <= 0:
+            errors.append(f"gevrey.tau0 must be > 0, got {self.tau0}")
         if isinstance(self.c, str):
             if self.c != "fit":
                 errors.append(
@@ -85,6 +90,7 @@ class RunConfig:
             errors.append(f"radius.c must be > 0, got {self.c}")
         if errors:
             raise ConfigError("; ".join(errors))
+        self.params = GevreyParams(r=self.r, s=self.s, tau=self.tau0)
 
     def initial_params(self) -> dict:
         """Keyword arguments of `spectral.init_state` for this kind."""

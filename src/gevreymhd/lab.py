@@ -22,7 +22,7 @@ from .operators import (
     lambda_apply,
     multiplier_weights,
 )
-from .solver import MHDState, step_rk4_curl
+from .solver import CURL_TERMS, MHDState, step_rk4_curl
 from .spectral import SpectralField, leray_project
 from .triads import extract_band, pair_marginal, weight_tables, weighted_sum
 
@@ -61,15 +61,11 @@ def _residual(lhs: complex, parts_sum: complex, part_values) -> tuple:
     return abs(lhs - parts_sum) / scale, scale
 
 
-def _gevrey_sq_weights(grid, spec: MultiplierSpec) -> np.ndarray:
-    w = multiplier_weights(grid, spec)
-    return w * w
-
-
 def weighted_inner(f: SpectralField, g: SpectralField,
                    spec: MultiplierSpec) -> float:
     """<f, Lam_m^{2r} e^{2 tau Lam_m^{1/s}} g> via the transform path."""
-    return inner_weighted(f, g, _gevrey_sq_weights(f.grid, spec))
+    w = multiplier_weights(f.grid, spec)
+    return inner_weighted(f, g, w * w)
 
 
 def transform_trilinear(a: SpectralField, b: SpectralField, c: SpectralField,
@@ -305,37 +301,30 @@ def operator_inequality_suite(fields, r: float = 3.0, tau: float = 0.2,
     }
 
 
-def _gevrey_pair_norm_sq(omega, current, spec: MultiplierSpec) -> float:
-    w2 = _gevrey_sq_weights(omega.grid, spec)
-    return (2.0 * np.pi) ** 3 * float(
-        np.sum(w2 * (np.abs(omega.coeffs) ** 2 + np.abs(current.coeffs) ** 2))
-    )
+KNOWN_LEMMAS = tuple(dict.fromkeys(row[4] for row in CURL_TERMS))
+_BALANCE_GROUP = {"3.1": 0, "3.2": 0, "3.21": 1, "3.22": 2}  # lemma -> K index
+
+
+def _pair_norm_sq(omega, current, spec: MultiplierSpec) -> float:
+    return (weighted_inner(omega, omega, spec)
+            + weighted_inner(current, current, spec))
 
 
 def balance_terms(omega: SpectralField, current: SpectralField,
                   spec: MultiplierSpec) -> tuple:
-    """The three nonlinear inner-product groups of the weighted energy balance.
+    """K1, K2, K3: the weighted balance's sums over the rows of CURL_TERMS.
 
     The transporting fields are recovered from the divergence-free parts of
     the pair, matching the prognostic vorticity/current stepper.
     """
-    u = biot_savart(leray_project(omega))
-    h = biot_savart(leray_project(current))
-    k1 = (
-        -weighted_inner(advect(u, omega), omega, spec)
-        + weighted_inner(advect(omega, u), omega, spec)
-        - weighted_inner(advect(u, current), current, spec)
-        - weighted_inner(advect(current, u), current, spec)
-    )
-    k2 = (
-        weighted_inner(advect(h, current), omega, spec)
-        + weighted_inner(advect(h, omega), current, spec)
-    )
-    k3 = (
-        -weighted_inner(advect(current, h), omega, spec)
-        + weighted_inner(advect(omega, h), current, spec)
-    )
-    return k1, k2, k3
+    fields = {"u": biot_savart(leray_project(omega)),
+              "h": biot_savart(leray_project(current)),
+              "omega": omega, "current": current}
+    k = [0.0, 0.0, 0.0]
+    for a, b, c, sign, lemma in CURL_TERMS:
+        k[_BALANCE_GROUP[lemma]] += sign * transform_trilinear(
+            fields[a], fields[b], fields[c], spec)
+    return tuple(k)
 
 
 def energy_balance_check(state: MHDState, spec: MultiplierSpec,
@@ -357,15 +346,15 @@ def energy_balance_check(state: MHDState, spec: MultiplierSpec,
         if tau_dot != 0.0:
             spec1 = MultiplierSpec(spec.m, spec.r, spec.tau + tau_dot * dt, spec.s)
             spec_h = MultiplierSpec(spec.m, spec.r, spec.tau + 0.5 * tau_dot * dt, spec.s)
-        n0 = 0.5 * _gevrey_pair_norm_sq(omega0, current0, spec)
-        n1 = 0.5 * _gevrey_pair_norm_sq(w_full, j_full, spec1)
+        n0 = 0.5 * _pair_norm_sq(omega0, current0, spec)
+        n1 = 0.5 * _pair_norm_sq(w_full, j_full, spec1)
         deriv = (n1 - n0) / dt
         k1, k2, k3 = balance_terms(w_half, j_half, spec_h)
         rhs = k1 + k2 + k3
         if tau_dot != 0.0:
             y_spec = MultiplierSpec(spec_h.m, spec_h.r + 0.5 / spec_h.s,
                                     spec_h.tau, spec_h.s)
-            rhs += tau_dot * _gevrey_pair_norm_sq(w_half, j_half, y_spec)
+            rhs += tau_dot * _pair_norm_sq(w_half, j_half, y_spec)
         scale = max(abs(deriv), abs(k1) + abs(k2) + abs(k3), TINY)
         defects.append(abs(deriv - rhs) / scale)
     orders = [
@@ -376,56 +365,54 @@ def energy_balance_check(state: MHDState, spec: MultiplierSpec,
     return {"dt": list(dt_values), "defects": defects, "orders": orders}
 
 
-KNOWN_LEMMAS = ("3.1", "3.2", "3.21", "3.22")
-
-
 def estimate_constant(lemma: str, samples, spec: MultiplierSpec) -> float:
     """Empirical sup of LHS / RHS for a lemma's estimate with unit constant.
 
     samples is an iterable of (omega, current) divergence-free pairs; the
-    velocity and magnetic fields are recovered by curl inversion.  Zero
-    samples are skipped; a vanishing RHS with nonzero LHS reports a
-    counterexample candidate.
+    velocity and magnetic fields are recovered by curl inversion.  The LHS
+    is |T1| + |T2| over the lemma's two rows of CURL_TERMS, except for 3.21,
+    whose two terms cancel at top order only together and which bounds
+    |T1 + T2|.  Zero samples are skipped; a vanishing RHS with nonzero LHS
+    reports a counterexample candidate.
     """
     if lemma not in KNOWN_LEMMAS:
         raise ValueError(f"unknown lemma tag {lemma!r}; known: {KNOWN_LEMMAS}")
     r, tau, s = spec.r, spec.tau, spec.s
     params = GevreyParams(r=r, s=s, tau=tau)
+    rows = [row for row in CURL_TERMS if row[4] == lemma]
     sup = 0.0
     used = 0
     for omega, current in samples:
-        u = biot_savart(omega)
-        h = biot_savart(current)
-        gu = sup_gradient(u)[0]
-        gh = sup_gradient(h)[0]
+        fields = {"u": biot_savart(omega), "h": biot_savart(current),
+                  "omega": omega, "current": current}
+        # The products do not depend on the direction m; form them once.
+        terms = [(sign, advect(fields[a], fields[b]), fields[c])
+                 for a, b, c, sign, _ in rows]
+        gu = sup_gradient(fields["u"])[0]
+        gh = sup_gradient(fields["h"])[0]
         norms = state_norms(omega, current, params, gu, gh)
         hr_o, hr_pair = norms.hr_omega, norms.hr
         x_o, x_j, x_pair = norms.x_omega, norms.x_current, norms.x_norm
         y_o, y_j, y_pair = norms.y_omega, norms.y_current, norms.y_norm
+        if lemma == "3.1":
+            rhs = ((tau * gu + tau**2 * hr_o + tau**2 * x_o) * y_o**2
+                   + (gu * x_o + (1 + tau) * hr_o**2) * x_o)
+        elif lemma == "3.2":
+            rhs = ((tau * gu + tau**2 * hr_pair + tau**2 * x_pair)
+                   * y_pair * y_j
+                   + (gu * x_j + gh * x_o + (1 + tau) * hr_pair**2) * x_j)
+        elif lemma == "3.21":
+            rhs = ((tau * gh + tau**2 * hr_pair + tau**2 * x_pair)
+                   * y_pair**2
+                   + (gh * x_pair + (1 + tau) * hr_pair**2) * x_pair)
+        else:  # 3.22
+            rhs = ((gu + gh) * x_pair**2 + tau * hr_pair**2 * x_pair
+                   + tau**2 * (hr_pair + x_pair) * y_pair**2)
         for m in (1, 2, 3):
             mspec = MultiplierSpec(m=m, r=r, tau=tau, s=s)
-            if lemma == "3.1":
-                lhs = (abs(transform_trilinear(u, omega, omega, mspec))
-                       + abs(transform_trilinear(omega, u, omega, mspec)))
-                rhs = ((tau * gu + tau**2 * hr_o + tau**2 * x_o) * y_o**2
-                       + (gu * x_o + (1 + tau) * hr_o**2) * x_o)
-            elif lemma == "3.2":
-                lhs = (abs(transform_trilinear(u, current, current, mspec))
-                       + abs(transform_trilinear(current, u, current, mspec)))
-                rhs = ((tau * gu + tau**2 * hr_pair + tau**2 * x_pair)
-                       * y_pair * y_j
-                       + (gu * x_j + gh * x_o + (1 + tau) * hr_pair**2) * x_j)
-            elif lemma == "3.21":
-                lhs = abs(transform_trilinear(h, current, omega, mspec)
-                          + transform_trilinear(h, omega, current, mspec))
-                rhs = ((tau * gh + tau**2 * hr_pair + tau**2 * x_pair)
-                       * y_pair**2
-                       + (gh * x_pair + (1 + tau) * hr_pair**2) * x_pair)
-            else:  # 3.22
-                lhs = (abs(transform_trilinear(current, h, omega, mspec))
-                       + abs(transform_trilinear(omega, h, current, mspec)))
-                rhs = ((gu + gh) * x_pair**2 + tau * hr_pair**2 * x_pair
-                       + tau**2 * (hr_pair + x_pair) * y_pair**2)
+            t1, t2 = (sign * weighted_inner(prod, c, mspec)
+                      for sign, prod, c in terms)
+            lhs = abs(t1 + t2) if lemma == "3.21" else abs(t1) + abs(t2)
             if lhs == 0.0 and rhs == 0.0:
                 continue
             if rhs == 0.0:

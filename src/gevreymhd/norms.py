@@ -10,7 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import MultiplierSpec, _axis_weights, gradient_physical
+from .operators import (
+    MultiplierSpec,
+    _axis_weights,
+    _mode_products,
+    gradient_physical,
+)
 from .spectral import Grid, SpectralField
 
 
@@ -85,13 +90,6 @@ class NormRecord:
             )
 
 
-def _power(v: SpectralField) -> np.ndarray:
-    """sum_c |v_hat_c(k)|^2 per mode, shape (n, n, n)."""
-    parts = v.coeffs.view(np.float64)  # real and imaginary parts interleaved
-    squares = np.einsum("cxyz,cxyz->xyz", parts, parts)
-    return squares[..., 0::2] + squares[..., 1::2]
-
-
 @functools.lru_cache(maxsize=8)
 def _sobolev_weight(n: int, r: float) -> np.ndarray:
     k1, k2, k3 = Grid(n).wavevectors()
@@ -137,7 +135,7 @@ def field_norms(v: SpectralField, params: GevreyParams) -> tuple:
     X sums (2pi)^3 |k_m|^(2r) exp(2 tau |k_m|^(1/s)) |v_hat_k|^2 over m and
     k; Y raises the directional exponent r by 1/(2s).
     """
-    power = _power(v)
+    power = _mode_products(v, v)
     marginal = _marginal(power)
     squares = (
         _sobolev_sq(power, params.r),

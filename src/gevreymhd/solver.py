@@ -2,8 +2,10 @@
 
 The primitive pair (u, h) is evolved with classical RK4; the nonlinear terms
 are evaluated pseudo-spectrally, Leray-projected and dealiased every stage.
-The vorticity/current pair and its evolution equation are available as
-diagnostics, and the run loop feeds the analyticity-radius tracker.
+The vorticity/current system is a prognostic stepper, `step_rk4_curl`, whose
+eight transport terms are the rows of `CURL_TERMS`; the lab's balance groups
+and lemma constants read the same table.  The run loop feeds the
+analyticity-radius tracker.
 """
 
 from dataclasses import dataclass
@@ -102,63 +104,44 @@ def rhs_primitive(state: MHDState) -> Tendency:
     return Tendency(nlu, nlh)
 
 
+# The eight transport terms of the vorticity/current system, one row each:
+# (a, b, c, sign, lemma) adds sign (a.grad)b to the tendency of c.  Paired
+# with c, the row's term is one term of the weighted balance
+# d/dt 1/2 (|omega|^2 + |J|^2) = K1 + K2 + K3, and `lemma` tags the trilinear
+# estimate that bounds it: 3.1 and 3.2 make up K1, 3.21 is K2, 3.22 is K3.
+CURL_TERMS = (
+    ("u", "omega", "omega", -1.0, "3.1"),
+    ("omega", "u", "omega", 1.0, "3.1"),
+    ("u", "current", "current", -1.0, "3.2"),
+    ("current", "u", "current", -1.0, "3.2"),
+    ("h", "current", "omega", 1.0, "3.21"),
+    ("h", "omega", "current", 1.0, "3.21"),
+    ("current", "h", "omega", -1.0, "3.22"),
+    ("omega", "h", "current", 1.0, "3.22"),
+)
+
+
 def _curl_tendency(u: SpectralField, h: SpectralField, omega: SpectralField,
                    current: SpectralField) -> Tendency:
-    """Vorticity/current tendency for given transporting fields.
+    """The rows of CURL_TERMS summed per target, for given transporting fields.
 
-    d omega = -(u.grad)omega + (h.grad)J + (omega.grad)u - (J.grad)h
-    d J     = -(u.grad)J + (h.grad)omega + (omega.grad)h - (J.grad)u
-
-    Each field is transformed and differentiated once; one gradient tensor
-    is alive at a time, and its two products go into the physical-space sums.
+    Each field is transformed and differentiated once, with one gradient
+    tensor alive at a time; every row that differentiates it adds its
+    product to the physical-space sum of its target.
     """
-    grid = omega.grid
-    uphys, hphys = to_physical(u), to_physical(h)
-    wphys, jphys = to_physical(omega), to_physical(current)
-    dw = np.zeros_like(uphys)
-    dj = np.zeros_like(uphys)
-    # Each gradient enters one product in d omega and one in d J:
-    # (field differentiated, (transporter, sign) in d omega, same in d J).
-    for field, (a, sa), (b, sb) in (
-        (omega, (uphys, -1.0), (hphys, 1.0)),
-        (current, (hphys, 1.0), (uphys, -1.0)),
-        (u, (wphys, 1.0), (jphys, -1.0)),
-        (h, (jphys, -1.0), (wphys, 1.0)),
-    ):
-        grad = gradient_physical(field)
-        dw += sa * np.einsum("mxyz,mcxyz->cxyz", a, grad)
-        dj += sb * np.einsum("mxyz,mcxyz->cxyz", b, grad)
+    fields = {"u": u, "h": h, "omega": omega, "current": current}
+    phys = {name: to_physical(f) for name, f in fields.items()}
+    tend = {"omega": np.zeros_like(phys["u"]),
+            "current": np.zeros_like(phys["u"])}
+    # The differentiation order fixes the order of each target's sum.
+    for name in ("omega", "current", "u", "h"):
+        grad = gradient_physical(fields[name])
+        for a, b, c, sign, _ in CURL_TERMS:
+            if b == name:
+                tend[c] += sign * np.einsum("mxyz,mcxyz->cxyz", phys[a], grad)
         del grad
-    return Tendency(_dealias_in_place(from_physical(grid, dw)),
-                    _dealias_in_place(from_physical(grid, dj)))
-
-
-def rhs_curl(state: MHDState) -> Tendency:
-    """Tendency of the vorticity/current pair of a primitive state."""
-    return _curl_tendency(state.u, state.h, curl(state.u), curl(state.h))
-
-
-def cross_gradient_curl_term(u: SpectralField, h: SpectralField) -> SpectralField:
-    """The gradient-coupling part of the curl of the induction nonlinearity.
-
-    curl((a.grad)b) = (a.grad)(curl b) + E(a, b) with
-    E(a, b)_i = eps_{ijk} d_j a_l d_l b_k; this returns the spectral,
-    dealiased E(u, h) - E(h, u).
-    """
-    gu = gradient_physical(u)
-    gh = gradient_physical(h)
-    # gradient_physical[m, c] = d_m of component c, so d_j u_l = gu[j, l]
-    # and d_l h_k = gh[:, k] contracted over the leading axis l.
-    n = u.grid.n
-    e_uh = np.empty((3, n, n, n))
-    e_hu = np.empty((3, n, n, n))
-    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-        e_uh[i] = (np.einsum("lxyz,lxyz->xyz", gu[j], gh[:, k])
-                   - np.einsum("lxyz,lxyz->xyz", gu[k], gh[:, j]))
-        e_hu[i] = (np.einsum("lxyz,lxyz->xyz", gh[j], gu[:, k])
-                   - np.einsum("lxyz,lxyz->xyz", gh[k], gu[:, j]))
-    e_uh -= e_hu
-    return _dealias_in_place(from_physical(u.grid, e_uh))
+    return Tendency(*(_dealias_in_place(from_physical(omega.grid, tend[c]))
+                      for c in ("omega", "current")))
 
 
 def rhs_curl_pair(omega: SpectralField, current: SpectralField) -> Tendency:

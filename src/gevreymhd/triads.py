@@ -158,13 +158,3 @@ def weighted_sum(P: np.ndarray, table: np.ndarray) -> complex:
     """i (2pi)^3 sum P[j_m, k_m] w(j_m, k_m)."""
     return complex(1j * (2.0 * np.pi) ** 3 * np.sum(P * table))
 
-
-def trilinear_bruteforce(a: SpectralField, b: SpectralField,
-                         c: SpectralField, m: int, r: float, tau: float,
-                         s: float, kmax: int) -> complex:
-    """Direct triple-sum value of <a . grad b, Lam_m^{2r} e^{2 tau Lam_m^{1/s}} c>."""
-    A = extract_band(a, kmax)
-    B = extract_band(b, kmax)
-    C = extract_band(c, kmax)
-    P = pair_marginal(A, B, C, kmax, m)
-    return weighted_sum(P, weight_tables(kmax, r, tau, s)["full"])

@@ -1,17 +1,29 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here deliberately avoids the package's FFT/vectorized code paths:
+Most of this deliberately avoids the package's FFT/vectorized code paths:
 plain python loops over explicit mode dictionaries, quadrature sums over
 collocation samples, norm weights built as full (n, n, n) arrays, and the
 whole-history radius pipeline (cumulative I(t), the Gronwall majorant M(t)
 and the Bernoulli closed form) that RadiusTracker computes one sample at a
 time.  rk4_chain is the one driver here: it steps the package's one-interval
-radius kernel across a sampled history.
+radius kernel across a sampled history.  The last three functions are
+test-side compositions of package kernels that the package itself never
+calls: the curl tendency of a primitive state, the gradient-coupling term
+that closes the current identity, and the brute-force trilinear form.
 """
 
 import numpy as np
 
+from gevreymhd.operators import curl, gradient_physical
 from gevreymhd.radius import _rk4_interval
+from gevreymhd.solver import _curl_tendency
+from gevreymhd.spectral import _dealias_in_place, from_physical
+from gevreymhd.triads import (
+    extract_band,
+    pair_marginal,
+    weight_tables,
+    weighted_sum,
+)
 
 
 def field_to_modes(field, tol=0.0):
@@ -153,3 +165,40 @@ def rk4_chain(times, a_series, b_series, tau0: float) -> np.ndarray:
                                   a_series[i], a_series[i + 1],
                                   b_series[i], b_series[i + 1]))
     return np.array(taus)
+
+
+def rhs_curl(state):
+    """Tendency of the vorticity/current pair of a primitive state."""
+    return _curl_tendency(state.u, state.h, curl(state.u), curl(state.h))
+
+
+def cross_gradient_curl_term(u, h):
+    """The gradient-coupling part of the curl of the induction nonlinearity.
+
+    curl((a.grad)b) = (a.grad)(curl b) + E(a, b) with
+    E(a, b)_i = eps_{ijk} d_j a_l d_l b_k; this returns the spectral,
+    dealiased E(u, h) - E(h, u).
+    """
+    gu = gradient_physical(u)
+    gh = gradient_physical(h)
+    # gradient_physical[m, c] = d_m of component c, so d_j u_l = gu[j, l]
+    # and d_l h_k = gh[:, k] contracted over the leading axis l.
+    n = u.grid.n
+    e_uh = np.empty((3, n, n, n))
+    e_hu = np.empty((3, n, n, n))
+    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        e_uh[i] = (np.einsum("lxyz,lxyz->xyz", gu[j], gh[:, k])
+                   - np.einsum("lxyz,lxyz->xyz", gu[k], gh[:, j]))
+        e_hu[i] = (np.einsum("lxyz,lxyz->xyz", gh[j], gu[:, k])
+                   - np.einsum("lxyz,lxyz->xyz", gh[k], gu[:, j]))
+    e_uh -= e_hu
+    return _dealias_in_place(from_physical(u.grid, e_uh))
+
+
+def trilinear_bruteforce(a, b, c, m, r, tau, s, kmax):
+    """Direct triple-sum value of <a . grad b, Lam_m^{2r} e^{2 tau Lam_m^{1/s}} c>."""
+    A = extract_band(a, kmax)
+    B = extract_band(b, kmax)
+    C = extract_band(c, kmax)
+    P = pair_marginal(A, B, C, kmax, m)
+    return weighted_sum(P, weight_tables(kmax, r, tau, s)["full"])

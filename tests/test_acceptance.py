@@ -8,7 +8,7 @@ energy balance, radius machinery, empirical constants, reproducibility.
 import numpy as np
 import pytest
 
-from gevreymhd import lab, triads
+from gevreymhd import lab
 from gevreymhd.cli import main as cli_main
 from gevreymhd.checkpoint import load_checkpoint, save_checkpoint
 from gevreymhd.norms import GevreyParams
@@ -16,10 +16,8 @@ from gevreymhd.operators import MultiplierSpec, advect, curl, inner_l2, lambda_a
 from gevreymhd.radius import RadiusModel, estimate_C_tilde, radius_lower_bound
 from gevreymhd.solver import (
     cfl_timestep,
-    cross_gradient_curl_term,
     cross_helicity,
     energy,
-    rhs_curl,
     rhs_primitive,
     run,
     step_rk4,
@@ -33,7 +31,13 @@ from gevreymhd.spectral import (
     random_band_field,
     taylor_green_mhd,
 )
-from oracles import bernoulli_tau, rk4_chain
+from oracles import (
+    bernoulli_tau,
+    cross_gradient_curl_term,
+    rhs_curl,
+    rk4_chain,
+    trilinear_bruteforce,
+)
 
 
 def smooth_params(r=3.0, s=1.0, tau=0.1):
@@ -105,8 +109,7 @@ class TestBruteForceVsTransform:
             st = random_band(grid, seed=100 + seed, kmax=4)
             omega = curl(st.u)
             m, r, tau, s = cases[seed % len(cases)]
-            bf = triads.trilinear_bruteforce(st.u, st.h, omega, m, r, tau, s,
-                                             kmax=4)
+            bf = trilinear_bruteforce(st.u, st.h, omega, m, r, tau, s, kmax=4)
             fft = lab.transform_trilinear(
                 st.u, st.h, omega, MultiplierSpec(m=m, r=r, tau=tau, s=s)
             )

@@ -151,6 +151,12 @@ def test_skipped_radius_fit_is_reported(tmp_path):
     ("n = 16\n[initial]\nkind = taylor-green",
      "n = 8\n[initial]\nkind = random-band\nkmax = 3",
      "initial.kmax must be < grid.n/3"),
+    ("n = 16\n[initial]\nkind = taylor-green",
+     "n = 8\n[initial]\nkind = random-band\nkmax = 0",
+     "initial.kmax must be >= 1"),
+    ("cadence = 5\n[gevrey]\nr = 4.5", "cadence = 0\n[gevrey]\nr = -1",
+     "time.cadence must be >= 1, got 0; gevrey.r must be > 0, got -1.0"),
+    ("r = 4.5", "r = 4.5\ns = 0.5", "gevrey.s must be >= 1"),
     ("r = 4.5", "r = nan", "gevrey.r must be finite"),
     ("t_end = 0.05", "t_end = nan", "time.t_end must be finite"),
 ])

@@ -157,6 +157,16 @@ class TestEnergyBalance:
         scale = max(abs(k1), abs(k2), 1.0)
         assert abs(k1 + k2 + k3) < 1e-10 * scale
 
+    def test_groups_pinned(self):
+        # Pinned so that a row of CURL_TERMS with a wrong field, sign or
+        # lemma tag fails here.
+        st = random_band(Grid(16), seed=500, kmax=4, amplitude=0.2)
+        spec = MultiplierSpec(m=2, r=1.0, tau=0.1, s=1.0)
+        groups = lab.balance_terms(curl(st.u), curl(st.h), spec)
+        assert groups == pytest.approx(
+            (606470.463590405, -770686.2278223587, 138158.0578014917),
+            rel=1e-12)
+
 
 class TestConstantEstimation:
     def make_samples(self, count, seed0=500, amplitude=0.2):
@@ -173,6 +183,19 @@ class TestConstantEstimation:
         value = lab.estimate_constant(lemma, self.make_samples(3), spec)
         assert np.isfinite(value)
         assert value >= 0.0
+
+    @pytest.mark.parametrize("lemma, expected", [
+        ("3.1", 1.1365077885164073e-06),
+        ("3.2", 1.2145143662534418e-06),
+        ("3.21", 6.31369480718932e-07),
+        ("3.22", 4.140413896269178e-06),
+    ])
+    def test_value_pinned(self, lemma, expected):
+        # Pinned so that a row of CURL_TERMS with a wrong field or lemma tag
+        # fails here.
+        spec = MultiplierSpec(m=1, r=3.0, tau=0.1, s=1.0)
+        value = lab.estimate_constant(lemma, self.make_samples(3), spec)
+        assert value == pytest.approx(expected, rel=1e-12)
 
     def test_zero_magnetic_samples_contribute_zero_to_coupling(self):
         g = Grid(16)

@@ -18,11 +18,9 @@ from gevreymhd.solver import (
     StepError,
     _sample_diagnostics,
     cfl_timestep,
-    cross_gradient_curl_term,
     cross_helicity,
     energy,
     recompute_radius,
-    rhs_curl,
     rhs_curl_pair,
     rhs_primitive,
     run,
@@ -40,7 +38,13 @@ from gevreymhd.spectral import (
     taylor_green_mhd,
     to_physical,
 )
-from oracles import cumulative_integral, gronwall_majorant, rk4_chain
+from oracles import (
+    cross_gradient_curl_term,
+    cumulative_integral,
+    gronwall_majorant,
+    rhs_curl,
+    rk4_chain,
+)
 
 
 def smooth_params():

@@ -6,7 +6,12 @@ from gevreymhd.operators import MultiplierSpec, curl
 from gevreymhd.spectral import Grid, random_band, random_band_field
 from gevreymhd.lab import transform_trilinear
 
-from oracles import field_to_modes, naive_pair_marginal, naive_weighted_trilinear
+from oracles import (
+    field_to_modes,
+    naive_pair_marginal,
+    naive_weighted_trilinear,
+    trilinear_bruteforce,
+)
 
 
 class TestBandExtraction:
@@ -70,8 +75,8 @@ class TestBruteForceValues:
         for m, r, tau, s in ((1, 1.0, 0.2, 1.0), (2, 0.0, 0.1, 2.0),
                              (3, 2.5, 0.0, 1.5)):
             oracle = naive_weighted_trilinear(am, bm, cm, m, r, tau, s)
-            value = triads.trilinear_bruteforce(st.u, st.h, omega, m, r, tau,
-                                                s, kmax=2)
+            value = trilinear_bruteforce(st.u, st.h, omega, m, r, tau, s,
+                                         kmax=2)
             assert value == pytest.approx(oracle, rel=1e-12)
 
     def test_matches_transform_path(self):
@@ -79,8 +84,8 @@ class TestBruteForceValues:
         st = random_band(g, seed=34, kmax=4)
         omega = curl(st.u)
         spec = MultiplierSpec(m=2, r=1.5, tau=0.15, s=2.0)
-        bf = triads.trilinear_bruteforce(st.u, st.h, omega, 2, 1.5, 0.15, 2.0,
-                                         kmax=4)
+        bf = trilinear_bruteforce(st.u, st.h, omega, 2, 1.5, 0.15, 2.0,
+                                  kmax=4)
         fft = transform_trilinear(st.u, st.h, omega, spec)
         assert bf.real == pytest.approx(fft, rel=1e-10)
         assert abs(bf.imag) < 1e-10 * max(abs(bf.real), 1.0)
