@@ -33,52 +33,57 @@ class CheckpointError(ValueError):
 
 def save_checkpoint(path, state: MHDState, params: GevreyParams,
                     tau: float) -> None:
-    """Write state plus (r, s, tau) to path; overwrites atomically."""
+    """Write state plus (r, s, tau) to path; overwrites atomically.
+
+    Each field's coefficients are written from their own buffer, which is
+    already the file's layout on a little-endian machine, so nothing the
+    size of the state is copied.
+    """
     path = Path(path)
     n = state.grid.n
     header = _HEADER.pack(MAGIC, VERSION, n, state.t, params.r, params.s, tau)
-    blocks = []
-    for f in (state.u, state.h):
-        c = np.ascontiguousarray(f.coeffs, dtype=np.complex128)
-        blocks.append(c.astype("<c16").tobytes())
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(header + b"".join(blocks))
+    with open(tmp, "wb") as fh:
+        fh.write(header)
+        for f in (state.u, state.h):
+            fh.write(np.ascontiguousarray(f.coeffs, dtype="<c16"))
     tmp.replace(path)
 
 
 def load_checkpoint(path) -> tuple:
-    """Read a checkpoint; returns (state, params_with_tau0, tau)."""
+    """Read a checkpoint; returns (state, params_with_tau0, tau).
+
+    The size is checked against the header before the fields are read
+    straight into the arrays the state keeps.
+    """
     path = Path(path)
     if not path.is_file():
         raise CheckpointError(f"checkpoint not found: {path}")
-    data = path.read_bytes()
-    if len(data) < _HEADER.size:
+    size = path.stat().st_size
+    if size < _HEADER.size:
         raise CheckpointError(
-            f"truncated checkpoint: {len(data)} bytes < header size "
+            f"truncated checkpoint: {size} bytes < header size "
             f"{_HEADER.size}"
         )
-    magic, version, n, t, r, s, tau = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {version}, expected {VERSION}"
-        )
-    block = 3 * n * n * n * 16
-    expected = _HEADER.size + 2 * block
-    if len(data) != expected:
-        raise CheckpointError(
-            f"truncated checkpoint: {len(data)} bytes, expected {expected}"
-        )
-    grid = Grid(n)
-
-    def read_field(offset):
-        flat = np.frombuffer(data, dtype="<c16", count=3 * n**3, offset=offset)
-        return SpectralField(
-            grid, flat.reshape(3, n, n, n).astype(np.complex128)
-        )
-
-    u = read_field(_HEADER.size)
-    h = read_field(_HEADER.size + block)
+    with open(path, "rb") as fh:
+        magic, version, n, t, r, s, tau = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != MAGIC:
+            raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        if version != VERSION:
+            raise CheckpointError(
+                f"unsupported checkpoint version {version}, expected {VERSION}"
+            )
+        expected = _HEADER.size + 2 * 3 * n**3 * 16
+        if size != expected:
+            raise CheckpointError(
+                f"truncated checkpoint: {size} bytes, expected {expected}"
+            )
+        grid = Grid(n)
+        fields = []
+        for _ in range(2):
+            coeffs = np.empty((3, n, n, n), dtype="<c16")
+            if fh.readinto(coeffs) != coeffs.nbytes:
+                raise CheckpointError(f"truncated checkpoint: {path} ended early")
+            fields.append(SpectralField(grid, coeffs))
     params = GevreyParams(r=r, s=s, tau=tau)
-    return MHDState(u, h, t), params, tau
+    return MHDState(*fields, t), params, tau

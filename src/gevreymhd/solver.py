@@ -28,6 +28,7 @@ from .spectral import (
     SpectralField,
     _dealias_in_place,
     _leray_in_place,
+    _over_slabs,
     from_physical,
     leray_project,
     to_physical,
@@ -69,6 +70,30 @@ class RunResult:
     status: str  # "completed" | "blow-up" | "radius-collapse" | "non-finite"
 
 
+_ADVECTION = "mxyz,mcxyz->cxyz"  # (a.grad)b from a and the gradient of b
+
+
+def _advect_slab(s, phys, grad_u, prod):
+    """Slab s of prod = ((u.grad)u, (h.grad)u), phys holding u then h."""
+    g = grad_u[:, :, s]
+    np.einsum(_ADVECTION, phys[:3, s], g, out=prod[:3, s])
+    np.einsum(_ADVECTION, phys[3:, s], g, out=prod[3:, s])
+
+
+def _advect_difference_slab(s, phys, grad_h, prod, tmp):
+    """Slab s of prod, as _advect_slab left it, less the products with grad h.
+
+    prod becomes ((u.grad)u - (h.grad)h, (u.grad)h - (h.grad)u); tmp holds
+    each product with grad h before its subtraction.
+    """
+    g, tmp = grad_h[:, :, s], tmp[:, s]
+    first, second = prod[:3, s], prod[3:, s]
+    np.einsum(_ADVECTION, phys[3:, s], g, out=tmp)
+    np.subtract(first, tmp, out=first)
+    np.einsum(_ADVECTION, phys[:3, s], g, out=tmp)
+    np.subtract(tmp, second, out=second)
+
+
 def _nonlinear(state: MHDState):
     """Physical-space evaluation of (u.grad)u - (h.grad)h and (u.grad)h - (h.grad)u.
 
@@ -77,30 +102,31 @@ def _nonlinear(state: MHDState):
     forward transforms of the two products, not yet dealiased.
     """
     grid = state.grid
-    uphys = to_physical(state.u)
-    hphys = to_physical(state.h)
+    phys = to_physical(state.u, state.h)
+    prod = np.empty_like(phys)
     grad = gradient_physical(state.u)
-    adv_uu = np.einsum("mxyz,mcxyz->cxyz", uphys, grad)
-    adv_hu = np.einsum("mxyz,mcxyz->cxyz", hphys, grad)
+    _over_slabs(grid.n, _advect_slab, phys, grad, prod)
     del grad
     grad = gradient_physical(state.h)
-    adv_hh = np.einsum("mxyz,mcxyz->cxyz", hphys, grad)
-    adv_uh = np.einsum("mxyz,mcxyz->cxyz", uphys, grad)
-    del grad, uphys, hphys
-    adv_uu -= adv_hh
-    adv_uh -= adv_hu
-    del adv_hh, adv_hu
-    nlu = from_physical(grid, adv_uu)
-    del adv_uu
-    return nlu, from_physical(grid, adv_uh)
+    tmp = np.empty_like(phys[:3])
+    _over_slabs(grid.n, _advect_difference_slab, phys, grad, prod, tmp)
+    del grad, phys, tmp
+    return from_physical(grid, prod)
+
+
+def _negate_slab(s, c):
+    # The complex product with -1.0, not np.negative, whose zeros would
+    # carry other signs.
+    np.multiply(c[:, s], -1.0, out=c[:, s])
 
 
 def rhs_primitive(state: MHDState) -> Tendency:
     """du = -P[(u.grad)u - (h.grad)h], dh = -P[(u.grad)h - (h.grad)u]."""
     nlu, nlh = _nonlinear(state)
     for nl in (nlu, nlh):
+        # The projection zeroes k = 0 first, so the product makes it -0.0.
         _leray_in_place(_dealias_in_place(nl))
-        nl.coeffs *= -1.0
+        _over_slabs(nl.grid.n, _negate_slab, nl.coeffs)
     return Tendency(nlu, nlh)
 
 
@@ -156,8 +182,24 @@ def rhs_curl_pair(omega: SpectralField, current: SpectralField) -> Tendency:
                           biot_savart(leray_project(current)), omega, current)
 
 
+def _axpy_slab(s, out, base, a, x, prod):
+    """out = base + prod on slab s, prod = a x rounded first; per array."""
+    for oi, bi, xi, pi in zip(out, base, x, prod):
+        np.multiply(a, xi[:, s], out=pi[:, s])
+        np.add(bi[:, s], pi[:, s], out=oi[:, s])
+
+
+def _finite_slab(s, arrays, flags):
+    """Whether slab s of every array is finite; flags is the scratch."""
+    ok = True
+    for c in arrays:
+        np.isfinite(c[:, s], out=flags[:, s])
+        ok = ok and bool(flags[:, s].all())
+    return ok
+
+
 def _rk4(tendency, y0: tuple, t: float, dt: float, what: str) -> tuple:
-    """One classical RK4 step over a tuple of coefficient arrays.
+    """One classical RK4 step over a tuple of (3, n, n, n) coefficient arrays.
 
     tendency(arrays, t) returns a tuple of new derivative arrays, which this
     function may overwrite; a non-finite stage tendency raises StepError
@@ -165,10 +207,12 @@ def _rk4(tendency, y0: tuple, t: float, dt: float, what: str) -> tuple:
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
+    n = y0[0].shape[-1]
+    flags = np.empty(y0[0].shape, dtype=bool)
 
     def stage(y, t_stage):
         k = tendency(y, t_stage)
-        if not all(np.all(np.isfinite(c)) for c in k):
+        if not all(_over_slabs(n, _finite_slab, k, flags)):
             raise StepError(
                 f"non-finite {what} at t={t_stage:.6g} (dt={dt:.3g})"
             )
@@ -178,7 +222,8 @@ def _rk4(tendency, y0: tuple, t: float, dt: float, what: str) -> tuple:
     # order into k1's arrays as each stage finishes, so only one stage
     # derivative is alive at a time.  One preallocated buffer holds each
     # stage input and, once its stage has run, that stage's weighted
-    # derivative, so the step makes no temporaries of its own.  This is the
+    # derivative, so the step makes no temporaries of its own; every pass
+    # runs slab by slab on the transform pool at n >= 64.  This is the
     # textbook combination evaluated left to right with the scalar as the
     # left operand, bit for bit, which the reference outputs of the primitive
     # stepper depend on.
@@ -186,18 +231,12 @@ def _rk4(tendency, y0: tuple, t: float, dt: float, what: str) -> tuple:
     k = total
     y = tuple(np.empty_like(yi) for yi in y0)
     for frac, weight in ((0.5, 2), (0.5, 2), (1.0, 1)):
-        for yi, y0i, c in zip(y, y0, k):
-            np.multiply(frac * dt, c, out=yi)
-            np.add(y0i, yi, out=yi)
+        _over_slabs(n, _axpy_slab, y, y0, frac * dt, k, y)
         del k
         k = stage(y, t + frac * dt)
-        for acc, yi, c in zip(total, y, k):
-            np.multiply(weight, c, out=yi)
-            acc += yi
+        _over_slabs(n, _axpy_slab, total, total, weight, k, y)
     del k, y
-    for y0i, acc in zip(y0, total):
-        np.multiply(dt / 6.0, acc, out=acc)
-        np.add(y0i, acc, out=acc)
+    _over_slabs(n, _axpy_slab, total, y0, dt / 6.0, total, total)
     return total
 
 
@@ -219,10 +258,9 @@ def step_rk4_curl(omega: SpectralField, current: SpectralField,
 
 def cfl_timestep(state: MHDState, cfl: float = 0.5) -> float:
     """dt = cfl * dx / max(|u| + |h|) at collocation points."""
-    speed = np.max(
-        np.linalg.norm(to_physical(state.u), axis=0)
-        + np.linalg.norm(to_physical(state.h), axis=0)
-    )
+    phys = to_physical(state.u, state.h)
+    speed = np.max(np.linalg.norm(phys[:3], axis=0)
+                   + np.linalg.norm(phys[3:], axis=0))
     if speed == 0.0:
         return np.inf
     return float(cfl * state.grid.spacing / speed)

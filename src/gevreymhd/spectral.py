@@ -11,15 +11,21 @@ verification code is then trivial.
 
 The 3-D transforms (`to_physical`, `from_physical` and
 `operators.gradient_physical`) make one numpy FFT call per field component,
-in place in arrays the caller allocated.  On grids with n >= 64 the
-components are split into one contiguous group per CPU in the process's
+in place in arrays the caller allocated; `to_physical` and `from_physical`
+take the components of several fields in one call.  On grids with n >= 64
+the components are split into one contiguous group per CPU in the process's
 affinity mask; the calling thread runs one group and a module-level thread
 pool, created on first use, runs the others.  numpy's transforms release the
-interpreter lock, so the groups run in parallel.  Smaller grids run every
-component on the calling thread, as a second thread gained little or lost
-there.  A transform over the component axis computes each component with
-the same arithmetic as a call on that component alone, so the outputs are
-bit-identical to it, and to each other for any thread count.
+interpreter lock, so the groups run in parallel, and the u and h of a state,
+transformed together, make six components that split evenly over two or
+three CPUs.  The solver's elementwise n^3 passes (the dealias mask, the
+Leray projection, the advection products and the RK4 updates) run on the
+same pool through `_over_slabs`, which splits the first mode axis into one
+slab per CPU.  Smaller grids run everything on the calling thread, as a
+second thread gained little or lost there.  A transform over the component
+axis computes each component with the same arithmetic as a call on that
+component alone, and an elementwise pass computes each entry the same way on
+any slab, so the outputs are bit-identical for any thread count.
 
 The per-mode tables of the spectral operators (wavevectors, the Leray
 denominator |k|^2 and the dealias mask) are built once per grid size and
@@ -159,7 +165,7 @@ def symmetrize(v: SpectralField) -> SpectralField:
     return SpectralField(v.grid, c)
 
 
-# Smallest grid whose components are transformed on the thread pool.
+# Smallest grid whose transforms and elementwise passes use the thread pool.
 _POOL_MIN_N = 64
 _pool = None
 _pool_lock = threading.Lock()
@@ -196,14 +202,38 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _run_groups(groups: int, run) -> list:
+    """Return [run(g) for g in range(groups)], run in parallel.
+
+    The calling thread runs group 0 and the module's thread pool the others;
+    numpy's error state is per thread, so the workers take the caller's.
+    Every group finishes before this returns or raises, and an exception
+    raised in any group reaches the caller.
+    """
+    err = np.geterr()
+
+    def in_callers_state(g):
+        with np.errstate(**err):
+            return run(g)
+
+    futures = [_executor().submit(in_callers_state, g)
+               for g in range(1, groups)]
+    try:
+        results = [run(0)]
+    finally:
+        for future in futures:
+            future.exception()  # waits, so no worker outlives the call
+    return results + [future.result() for future in futures]
+
+
 def _transform_components(n: int, count: int, job, scratch: bool) -> None:
     """Call job(i, buf) for every component i in range(count) of an n^3 grid.
 
     buf is an (n, n, n) complex scratch array owned by the component's group
     (None without `scratch`); the caller allocates it, so worker threads
     allocate nothing large, whose freed blocks glibc's per-thread arenas
-    would keep.  Groups are contiguous; the calling thread runs the first,
-    and an exception raised in any group reaches the caller.
+    would keep.  Groups are contiguous, one per CPU on grids with
+    n >= _POOL_MIN_N, and run as `_run_groups` runs them.
     """
     groups = min(count, _cpu_count()) if n >= _POOL_MIN_N else 1
     bounds = [count * g // groups for g in range(groups + 1)]
@@ -211,55 +241,89 @@ def _transform_components(n: int, count: int, job, scratch: bool) -> None:
         bufs = np.empty((groups, n, n, n), dtype=np.complex128)
     else:
         bufs = [None] * groups
-    # numpy's error state is per thread; the workers take the caller's.
-    err = np.geterr()
 
     def run_group(g):
-        with np.errstate(**err):
-            for i in range(bounds[g], bounds[g + 1]):
-                job(i, bufs[g])
+        for i in range(bounds[g], bounds[g + 1]):
+            job(i, bufs[g])
 
-    futures = [_executor().submit(run_group, g) for g in range(1, groups)]
-    run_group(0)
-    for future in futures:
-        future.result()
+    _run_groups(groups, run_group)
 
 
-def to_physical(v: SpectralField) -> np.ndarray:
-    """Inverse transform to collocation samples, shape (3, n, n, n), real."""
-    n = v.grid.n
-    out = np.empty((3, n, n, n))
+def _over_slabs(n: int, job, *args) -> list:
+    """Return job(s, *args) for slices s that split the first mode axis.
+
+    On grids with n >= _POOL_MIN_N the axis of length n is split into one
+    contiguous slab per CPU, run as `_run_groups` runs its groups; smaller
+    grids call job(slice(None), *args) once on the calling thread.  A job
+    applies its elementwise kernel to slab s of every array it is given
+    (c[:, s] of a (3, n, n, n) array, t[s] of an (n, n, n) table) and
+    writes only arrays the caller allocated.  Elementwise results do not
+    depend on the split, so they are bit-identical for any CPU count.
+    """
+    if n < _POOL_MIN_N:
+        return [job(slice(None), *args)]
+    groups = min(n, _cpu_count())
+    bounds = [n * g // groups for g in range(groups + 1)]
+    return _run_groups(
+        groups, lambda g: job(slice(bounds[g], bounds[g + 1]), *args))
+
+
+def to_physical(*fields: SpectralField) -> np.ndarray:
+    """Inverse transform to collocation samples, real.
+
+    The samples of several fields come in one array, their components one
+    after another: shape (3m, n, n, n) for m fields, so the components of
+    all of them are shared out over the CPUs together.
+    """
+    n = fields[0].grid.n
+    if any(f.grid.n != n for f in fields):
+        raise GridError("fields to transform live on different grids")
+    coeffs = [c for f in fields for c in f.coeffs]
+    out = np.empty((len(coeffs), n, n, n))
 
     def job(i, buf):
-        np.fft.ifftn(v.coeffs[i], out=buf)
+        np.fft.ifftn(coeffs[i], out=buf)
         np.multiply(buf.real, n**3, out=out[i])
 
-    _transform_components(n, 3, job, scratch=True)
+    _transform_components(n, len(coeffs), job, scratch=True)
     return out
 
 
-def from_physical(grid: Grid, samples: np.ndarray) -> SpectralField:
-    """Forward transform of collocation samples; pins the mean mode to zero."""
+def from_physical(grid: Grid, samples: np.ndarray):
+    """Forward transform of collocation samples; pins the mean mode to zero.
+
+    samples of shape (3, n, n, n) give one SpectralField; the stacked
+    samples of m fields, shape (3m, n, n, n) as `to_physical` returns them,
+    give a tuple of m fields that share one coefficient array.
+    """
     samples = np.asarray(samples, dtype=np.float64)
     n = grid.n
-    if samples.shape != (3, n, n, n):
+    if (samples.ndim != 4 or samples.shape[1:] != (n, n, n)
+            or samples.shape[0] % 3 or not samples.shape[0]):
         raise GridError(
             f"sample array shape {samples.shape} does not match grid n={n}"
         )
-    coeffs = samples.astype(np.complex128)
+    coeffs = np.empty(samples.shape, dtype=np.complex128)
 
     def job(i, _):
+        coeffs[i] = samples[i]
         np.fft.fftn(coeffs[i], out=coeffs[i])
         np.divide(coeffs[i], n**3, out=coeffs[i])
 
-    _transform_components(n, 3, job, scratch=False)
+    _transform_components(n, len(coeffs), job, scratch=False)
     coeffs[:, 0, 0, 0] = 0.0
-    return SpectralField(grid, coeffs)
+    fields = tuple(SpectralField(grid, coeffs[i:i + 3])
+                   for i in range(0, len(coeffs), 3))
+    return fields[0] if len(fields) == 1 else fields
+
+
+def _mask_slab(s, c, mask):
+    np.multiply(c[:, s], mask[s], out=c[:, s])
 
 
 def _dealias_in_place(v: SpectralField) -> SpectralField:
     """Multiply v by the 2/3-rule mask in place; returns v."""
-    v.coeffs *= _tables(v.grid.n).mask
+    _over_slabs(v.grid.n, _mask_slab, v.coeffs, _tables(v.grid.n).mask)
     return v
 
 
@@ -268,24 +332,29 @@ def dealias(v: SpectralField) -> SpectralField:
     return _dealias_in_place(v.copy())
 
 
+def _leray_slab(s, c, kdotv, term, tables):
+    k = (tables.k[0][s], *tables.k[1:])
+    c, kdotv, term = c[:, s], kdotv[s], term[s]
+    np.multiply(k[0], c[0], out=kdotv)
+    np.multiply(k[1], c[1], out=term)
+    kdotv += term
+    np.multiply(k[2], c[2], out=term)
+    kdotv += term
+    kdotv /= tables.k2norm[s]
+    for ci, km in zip(c, k):
+        np.multiply(km, kdotv, out=term)
+        ci -= term
+
+
 def _leray_in_place(v: SpectralField) -> SpectralField:
     """Leray-project v in place with two n^3 scratch arrays; returns v.
 
     Evaluates c_i - k_i ((k1 c_1 + k2 c_2 + k3 c_3) / |k|^2) in that order.
     """
-    tables = _tables(v.grid.n)
-    k1, k2, k3 = tables.k
-    c = v.coeffs
-    kdotv = k1 * c[0]
-    term = k2 * c[1]
-    kdotv += term
-    np.multiply(k3, c[2], out=term)
-    kdotv += term
-    kdotv /= tables.k2norm
-    for ci, km in zip(c, tables.k):
-        np.multiply(km, kdotv, out=term)
-        ci -= term
-    c[:, 0, 0, 0] = 0.0
+    n = v.grid.n
+    kdotv, term = np.empty((2, n, n, n), dtype=np.complex128)
+    _over_slabs(n, _leray_slab, v.coeffs, kdotv, term, _tables(n))
+    v.coeffs[:, 0, 0, 0] = 0.0
     return v
 
 

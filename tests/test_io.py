@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,26 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
             load_checkpoint(tmp_path / "none.gmhd")
+
+    def test_io_copies_no_state(self, tmp_path):
+        # Saving writes the fields' own buffers; loading reads into the two
+        # fields it returns, and allocates little else.
+        st = taylor_green_mhd(Grid(32))
+        path = tmp_path / "state.gmhd"
+        field_bytes = st.u.coeffs.nbytes
+        peaks = []
+        for call in (lambda: save_checkpoint(path, st, GevreyParams(r=3.0),
+                                             0.1),
+                     lambda: load_checkpoint(path)):
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1] / field_bytes)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 0.1
+        assert peaks[1] <= 2.1
 
 
 class TestCli:

@@ -12,7 +12,7 @@ from gevreymhd.operators import (
     gradient_physical,
     inner_l2,
 )
-from gevreymhd import solver
+from gevreymhd import solver, spectral
 from gevreymhd.radius import RadiusModel, radius_lower_bound
 from gevreymhd.solver import (
     StepError,
@@ -165,6 +165,12 @@ class TestStepping:
                         SpectralField.zeros(Grid(16)), 0.0)
         assert cfl_timestep(zero) == np.inf
 
+    def test_cfl_timestep_of_both_fields_in_one_transform(self):
+        st = taylor_green_mhd(Grid(64))
+        speed = np.max(np.linalg.norm(to_physical(st.u), axis=0)
+                       + np.linalg.norm(to_physical(st.h), axis=0))
+        assert cfl_timestep(st, 0.5) == 0.5 * st.grid.spacing / speed
+
     def test_curl_pair_step_matches_vorticity_of_primitive_short_time(self):
         # over one small step the two formulations agree on the vorticity to
         # the local truncation error (their omega equations are identical)
@@ -220,6 +226,12 @@ def full_spectrum_state(n, seed):
     return MHDState(field(), field(), 0.0)
 
 
+def force_cpus(monkeypatch, count):
+    """Size the transform pool for `count` CPUs, replacing any pool so far."""
+    monkeypatch.setattr(spectral, "_cpu_count", lambda: count)
+    monkeypatch.setattr(spectral, "_pool", None)
+
+
 def as_bytes(a: np.ndarray) -> np.ndarray:
     """The array's bytes, so a zero's sign counts."""
     return np.ascontiguousarray(a).view(np.uint8)
@@ -243,9 +255,24 @@ class TestInPlaceContract:
         for saved, now in zip(before, (st.u.coeffs, st.h.coeffs)):
             assert np.array_equal(as_bytes(saved), as_bytes(now))
 
-    def test_pooled_step_is_bytewise_the_textbook_rk4(self):
-        # n = 64 transforms run on the thread pool.  The reference evaluates
-        # every operator out of place through the public functions.
+    @staticmethod
+    def textbook_rk4(f, y0, dt):
+        """The RK4 update of the arrays y0 by f, out of place."""
+        k1 = f(y0)
+        k2 = f([a + 0.5 * dt * b for a, b in zip(y0, k1)])
+        k3 = f([a + 0.5 * dt * b for a, b in zip(y0, k2)])
+        k4 = f([a + dt * b for a, b in zip(y0, k3)])
+        # The stepper weights every stage derivative, k4's by 1.
+        return [a + dt / 6.0 * (((b1 + 2 * b2) + 2 * b3) + 1 * b4)
+                for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
+
+    # n = 64 runs its transforms and its elementwise passes on the thread
+    # pool; three CPUs split the 64 planes of a slab pass 21/21/22.
+    CPUS = (1, 2, 3)
+
+    def test_pooled_step_is_bytewise_the_textbook_rk4(self, monkeypatch):
+        # The reference evaluates every operator out of place through the
+        # public functions.
         st = taylor_green_mhd(Grid(64))
         grid, dt = st.grid, 0.01
 
@@ -264,18 +291,32 @@ class TestInPlaceContract:
                 out.append(d.coeffs)
             return out
 
-        y0 = (st.u.coeffs, st.h.coeffs)
-        k1 = f(y0)
-        k2 = f([a + 0.5 * dt * b for a, b in zip(y0, k1)])
-        k3 = f([a + 0.5 * dt * b for a, b in zip(y0, k2)])
-        k4 = f([a + dt * b for a, b in zip(y0, k3)])
-        # The stepper weights every stage derivative, k4's by 1.
-        y1 = [a + dt / 6.0 * (((b1 + 2 * b2) + 2 * b3) + 1 * b4)
-              for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
-        out = step_rk4(st, dt)
-        for got, ref in zip((out.u, out.h), y1):
-            ref = dealias(leray_project(SpectralField(grid, ref)))
-            assert np.array_equal(as_bytes(got.coeffs), as_bytes(ref.coeffs))
+        y1 = [dealias(leray_project(SpectralField(grid, c))).coeffs
+              for c in self.textbook_rk4(f, (st.u.coeffs, st.h.coeffs), dt)]
+        for cpus in self.CPUS:
+            force_cpus(monkeypatch, cpus)
+            out = step_rk4(st, dt)
+            for got, ref in zip((out.u.coeffs, out.h.coeffs), y1):
+                assert np.array_equal(as_bytes(got), as_bytes(ref)), cpus
+
+    def test_pooled_curl_step_is_bytewise_the_textbook_rk4(self, monkeypatch):
+        st = taylor_green_mhd(Grid(64))
+        grid, dt = st.grid, 0.01
+
+        def f(y):
+            tend = rhs_curl_pair(*(SpectralField(grid, c) for c in y))
+            return [tend.du.coeffs, tend.dh.coeffs]
+
+        omega, current = curl(st.u), curl(st.h)
+        y1 = [dealias(SpectralField(grid, c)).coeffs
+              for c in self.textbook_rk4(f, (omega.coeffs, current.coeffs),
+                                         dt)]
+        for cpus in self.CPUS:
+            force_cpus(monkeypatch, cpus)
+            out = step_rk4_curl(omega, current, dt)
+            for got, ref in zip(out, y1):
+                assert np.array_equal(as_bytes(got.coeffs), as_bytes(ref)), \
+                    cpus
 
 
 def traced_peak_fields(call, n: int) -> float:
@@ -297,6 +338,12 @@ class TestMemory:
     def test_step_peak_allocation(self):
         st = taylor_green_mhd(Grid(32))
         assert traced_peak_fields(lambda: step_rk4(st, 0.01), 32) <= 10.0
+
+    def test_pooled_step_peak_allocation(self, monkeypatch):
+        # Worker threads' allocations are traced too.
+        force_cpus(monkeypatch, 2)
+        st = taylor_green_mhd(Grid(64))
+        assert traced_peak_fields(lambda: step_rk4(st, 0.01), 64) <= 8.5
 
     def test_sample_diagnostics_peak_allocation(self):
         st = taylor_green_mhd(Grid(32))

@@ -1,4 +1,5 @@
 import multiprocessing
+import sys
 import threading
 
 import numpy as np
@@ -228,6 +229,27 @@ class TestPooledTransforms:
                 grad[m], (np.fft.ifftn(1j * km * c, axes=(1, 2, 3))
                           * n**3).real)
 
+    @pytest.mark.parametrize("n, cpus", [(16, None), (64, 2), (64, 3)])
+    def test_several_fields_equal_one_at_a_time(self, n, cpus, monkeypatch):
+        if cpus is not None:
+            self.force_cpus(monkeypatch, cpus)
+        u, h = self.random_field(n), self.random_field(n)
+        h.coeffs *= -0.5
+        both = to_physical(u, h)
+        assert both.shape == (6, n, n, n)
+        assert np.array_equal(both[:3], to_physical(u))
+        assert np.array_equal(both[3:], to_physical(h))
+        fu, fh = from_physical(u.grid, both)
+        assert np.array_equal(fu.coeffs, from_physical(u.grid, both[:3]).coeffs)
+        assert np.array_equal(fh.coeffs, from_physical(u.grid, both[3:]).coeffs)
+
+    def test_samples_must_come_in_whole_fields(self):
+        with pytest.raises(GridError):
+            from_physical(Grid(8), np.zeros((4, 8, 8, 8)))
+        with pytest.raises(GridError):
+            to_physical(SpectralField.zeros(Grid(8)),
+                        SpectralField.zeros(Grid(16)))
+
     def test_tendency_independent_of_thread_count(self, monkeypatch):
         state = taylor_green_mhd(Grid(self.N))
         default = rhs_primitive(state)
@@ -284,3 +306,63 @@ class TestPooledTransforms:
             if child.is_alive():
                 child.kill()
                 child.join()
+
+
+class TestSlabs:
+    """Elementwise passes split the first mode axis over the pool at n >= 64."""
+
+    force_cpus = staticmethod(TestPooledTransforms.force_cpus)
+
+    @pytest.mark.parametrize("n, cpus, slabs", [
+        (16, 3, [(None, None)]),
+        (64, 1, [(0, 64)]),
+        (64, 2, [(0, 32), (32, 64)]),
+        (64, 3, [(0, 21), (21, 42), (42, 64)]),
+    ])
+    def test_slabs_cover_the_axis_in_order(self, n, cpus, slabs, monkeypatch):
+        self.force_cpus(monkeypatch, cpus)
+        calls = spectral._over_slabs(n, lambda s, x: (s.start, s.stop, x), 7)
+        assert calls == [(lo, hi, 7) for lo, hi in slabs]
+        # one slab runs on the calling thread and starts no pool
+        assert (spectral._pool is None) == (len(slabs) == 1)
+
+    def test_exception_in_a_worker_slab_reaches_caller(self, monkeypatch):
+        self.force_cpus(monkeypatch, 2)
+        error = MemoryError("raised in a worker slab")
+        finished = []
+
+        def job(s):
+            if threading.current_thread() is not threading.main_thread():
+                raise error
+            finished.append(s.start)
+
+        with pytest.raises(MemoryError) as caught:
+            spectral._over_slabs(64, job)
+        assert caught.value is error
+        assert finished == [0]
+
+    def test_more_slab_threads_than_cores_under_fast_switching(
+            self, monkeypatch):
+        # Five slabs on two or more cores, the interpreter switching threads
+        # every microsecond: each thread still writes only its own slab.
+        state = taylor_green_mhd(Grid(64))
+        default = rhs_primitive(state)
+        self.force_cpus(monkeypatch, 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            tend = rhs_primitive(state)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(tend.du.coeffs, default.du.coeffs)
+        assert np.array_equal(tend.dh.coeffs, default.dh.coeffs)
+
+    def test_worker_slabs_take_callers_error_state(self, monkeypatch):
+        # Mode index 40 lies in the second slab, which the worker masks:
+        # inf times the mask's 0 is invalid.
+        self.force_cpus(monkeypatch, 2)
+        v = SpectralField.zeros(Grid(64))
+        v.coeffs[0, 40, 0, 0] = np.inf
+        with np.errstate(invalid="raise"):
+            with pytest.raises(FloatingPointError):
+                dealias(v)
