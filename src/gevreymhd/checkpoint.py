@@ -14,6 +14,7 @@ Layout (little-endian throughout):
     (re, im) f64 pair.
 """
 
+import math
 import struct
 from pathlib import Path
 
@@ -53,8 +54,9 @@ def save_checkpoint(path, state: MHDState, params: GevreyParams,
 def load_checkpoint(path) -> tuple:
     """Read a checkpoint; returns (state, params_with_tau0, tau).
 
-    The size is checked against the header before the fields are read
-    straight into the arrays the state keeps.
+    The header's grid size and (t, r, s, tau) are validated and the file size
+    checked against the header before the fields are read straight into the
+    arrays the state keeps.
     """
     path = Path(path)
     if not path.is_file():
@@ -73,17 +75,25 @@ def load_checkpoint(path) -> tuple:
             raise CheckpointError(
                 f"unsupported checkpoint version {version}, expected {VERSION}"
             )
+        if not all(math.isfinite(v) for v in (t, r, s, tau)):
+            raise CheckpointError(
+                f"non-finite checkpoint header: t={t}, r={r}, s={s}, "
+                f"tau={tau}"
+            )
+        try:
+            grid = Grid(n)
+            params = GevreyParams(r=r, s=s, tau=tau)
+        except ValueError as exc:
+            raise CheckpointError(f"bad checkpoint header: {exc}") from None
         expected = _HEADER.size + 2 * 3 * n**3 * 16
         if size != expected:
             raise CheckpointError(
                 f"truncated checkpoint: {size} bytes, expected {expected}"
             )
-        grid = Grid(n)
         fields = []
         for _ in range(2):
             coeffs = np.empty((3, n, n, n), dtype="<c16")
             if fh.readinto(coeffs) != coeffs.nbytes:
                 raise CheckpointError(f"truncated checkpoint: {path} ended early")
             fields.append(SpectralField(grid, coeffs))
-    params = GevreyParams(r=r, s=s, tau=tau)
     return MHDState(*fields, t), params, tau

@@ -116,17 +116,21 @@ def _directional_sq(marginal: np.ndarray, grid: Grid, r: float, tau: float,
     return float((2.0 * np.pi) ** 3 * np.sum(w**2 * marginal))
 
 
-def sup_gradient(v: SpectralField) -> tuple:
-    """Max-abs gradient entry and collocation max of |curl v|, one transform.
+def gradient_sups(g: np.ndarray) -> tuple:
+    """Max-abs entry and collocation max of |curl| of a gradient tensor.
 
-    The curl is the antisymmetric part of the gradient tensor, whose entry
-    [m, c] is d_m v_c.
+    g is `gradient_physical`'s output, entry [m, c] = d_m v_c; the curl is
+    its antisymmetric part.
     """
-    g = gradient_physical(v)
     rot = np.stack((g[1, 2] - g[2, 1], g[2, 0] - g[0, 2], g[0, 1] - g[1, 0]))
     # max |g| without an |g| array; negation is exact, so the value is too.
     grad_sup = max(float(g.max()), -float(g.min()))
     return grad_sup, float(np.max(np.linalg.norm(rot, axis=0)))
+
+
+def sup_gradient(v: SpectralField) -> tuple:
+    """Max-abs gradient entry and collocation max of |curl v|, one transform."""
+    return gradient_sups(gradient_physical(v))
 
 
 def field_norms(v: SpectralField, params: GevreyParams) -> tuple:

@@ -5,7 +5,9 @@ are evaluated pseudo-spectrally, Leray-projected and dealiased every stage.
 The vorticity/current system is a prognostic stepper, `step_rk4_curl`, whose
 eight transport terms are the rows of `CURL_TERMS`; the lab's balance groups
 and lemma constants read the same table.  The run loop feeds the
-analyticity-radius tracker.
+analyticity-radius tracker; a state it samples or takes a CFL step from is
+transformed once, by the first RK4 stage of the step that follows, which
+also reduces the CFL speed and the gradient sup-norms.
 """
 
 from dataclasses import dataclass
@@ -17,6 +19,7 @@ from .norms import (
     NormRecord,
     RadiusFitError,
     fit_radius,
+    gradient_sups,
     mode_amplitude,
     state_norms,
     sup_gradient,
@@ -39,12 +42,22 @@ class StepError(RuntimeError):
     """Non-finite values appeared during a time step."""
 
 
+@dataclass(frozen=True)
+class StateMaxima:
+    """Collocation maxima of a primitive state, from its first RK4 stage."""
+
+    speed: float  # max(|u| + |h|), which sets the CFL step
+    grad_u: tuple  # sup_gradient(u): max |grad u| and max |curl u|
+    grad_h: tuple  # sup_gradient(h)
+
+
 @dataclass
 class Tendency:
     """Time derivatives of a pair of fields (primitive or curled form)."""
 
     du: SpectralField
     dh: SpectralField
+    maxima: StateMaxima | None = None  # rhs_primitive(state, maxima=True)
 
 
 @dataclass
@@ -94,24 +107,36 @@ def _advect_difference_slab(s, phys, grad_h, prod, tmp):
     np.subtract(tmp, second, out=second)
 
 
-def _nonlinear(state: MHDState):
+def _max_speed(phys: np.ndarray) -> float:
+    """max(|u| + |h|) over the collocation points of stacked u, h samples."""
+    return float(np.max(np.linalg.norm(phys[:3], axis=0)
+                        + np.linalg.norm(phys[3:], axis=0)))
+
+
+def _nonlinear(state: MHDState, maxima: bool):
     """Physical-space evaluation of (u.grad)u - (h.grad)h and (u.grad)h - (h.grad)u.
 
     Shares the transforms of u, h and their gradients across the four
     advection terms, with one gradient tensor alive at a time; returns the
-    forward transforms of the two products, not yet dealiased.
+    forward transforms of the two products, not yet dealiased, and, with
+    `maxima`, the StateMaxima reduced from those samples and tensors (else
+    None).
     """
     grid = state.grid
     phys = to_physical(state.u, state.h)
+    speed = _max_speed(phys) if maxima else None
     prod = np.empty_like(phys)
     grad = gradient_physical(state.u)
+    sups_u = gradient_sups(grad) if maxima else None
     _over_slabs(grid.n, _advect_slab, phys, grad, prod)
     del grad
     grad = gradient_physical(state.h)
     tmp = np.empty_like(phys[:3])
     _over_slabs(grid.n, _advect_difference_slab, phys, grad, prod, tmp)
-    del grad, phys, tmp
-    return from_physical(grid, prod)
+    del phys, tmp
+    found = StateMaxima(speed, sups_u, gradient_sups(grad)) if maxima else None
+    del grad
+    return from_physical(grid, prod), found
 
 
 def _negate_slab(s, c):
@@ -120,14 +145,19 @@ def _negate_slab(s, c):
     np.multiply(c[:, s], -1.0, out=c[:, s])
 
 
-def rhs_primitive(state: MHDState) -> Tendency:
-    """du = -P[(u.grad)u - (h.grad)h], dh = -P[(u.grad)h - (h.grad)u]."""
-    nlu, nlh = _nonlinear(state)
+def rhs_primitive(state: MHDState, maxima: bool = False) -> Tendency:
+    """du = -P[(u.grad)u - (h.grad)h], dh = -P[(u.grad)h - (h.grad)u].
+
+    With `maxima` the tendency also carries the state's StateMaxima, reduced
+    from the samples and gradient tensors the evaluation makes anyway, so a
+    caller that steps from the state transforms it once.
+    """
+    (nlu, nlh), found = _nonlinear(state, maxima)
     for nl in (nlu, nlh):
         # The projection zeroes k = 0 first, so the product makes it -0.0.
         _leray_in_place(_dealias_in_place(nl))
         _over_slabs(nl.grid.n, _negate_slab, nl.coeffs)
-    return Tendency(nlu, nlh)
+    return Tendency(nlu, nlh, found)
 
 
 # The eight transport terms of the vorticity/current system, one row each:
@@ -198,20 +228,21 @@ def _finite_slab(s, arrays, flags):
     return ok
 
 
-def _rk4(tendency, y0: tuple, t: float, dt: float, what: str) -> tuple:
+def _rk4(tendency, y0: tuple, t: float, dt: float, what: str,
+         k1: tuple | None = None) -> tuple:
     """One classical RK4 step over a tuple of (3, n, n, n) coefficient arrays.
 
     tendency(arrays, t) returns a tuple of new derivative arrays, which this
-    function may overwrite; a non-finite stage tendency raises StepError
-    naming `what`.
+    function may overwrite; k1, when given, is tendency(y0, t) evaluated by
+    the caller and is overwritten the same way.  A non-finite stage tendency
+    raises StepError naming `what`.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     n = y0[0].shape[-1]
     flags = np.empty(y0[0].shape, dtype=bool)
 
-    def stage(y, t_stage):
-        k = tendency(y, t_stage)
+    def checked(k, t_stage):
         if not all(_over_slabs(n, _finite_slab, k, flags)):
             raise StepError(
                 f"non-finite {what} at t={t_stage:.6g} (dt={dt:.3g})"
@@ -227,13 +258,13 @@ def _rk4(tendency, y0: tuple, t: float, dt: float, what: str) -> tuple:
     # textbook combination evaluated left to right with the scalar as the
     # left operand, bit for bit, which the reference outputs of the primitive
     # stepper depend on.
-    total = stage(y0, t)
+    total = checked(tendency(y0, t) if k1 is None else k1, t)
     k = total
     y = tuple(np.empty_like(yi) for yi in y0)
     for frac, weight in ((0.5, 2), (0.5, 2), (1.0, 1)):
         _over_slabs(n, _axpy_slab, y, y0, frac * dt, k, y)
         del k
-        k = stage(y, t + frac * dt)
+        k = checked(tendency(y, t + frac * dt), t + frac * dt)
         _over_slabs(n, _axpy_slab, total, total, weight, k, y)
     del k, y
     _over_slabs(n, _axpy_slab, total, y0, dt / 6.0, total, total)
@@ -256,18 +287,26 @@ def step_rk4_curl(omega: SpectralField, current: SpectralField,
             _dealias_in_place(SpectralField(grid, jnew)))
 
 
-def cfl_timestep(state: MHDState, cfl: float = 0.5) -> float:
-    """dt = cfl * dx / max(|u| + |h|) at collocation points."""
-    phys = to_physical(state.u, state.h)
-    speed = np.max(np.linalg.norm(phys[:3], axis=0)
-                   + np.linalg.norm(phys[3:], axis=0))
+def _cfl_dt(speed: float, spacing: float, cfl: float) -> float:
+    """cfl * dx / speed; infinite for a state at rest."""
     if speed == 0.0:
         return np.inf
-    return float(cfl * state.grid.spacing / speed)
+    return float(cfl * spacing / speed)
 
 
-def step_rk4(state: MHDState, dt: float) -> MHDState:
-    """Classical 4-stage explicit step; output re-projected and dealiased."""
+def cfl_timestep(state: MHDState, cfl: float = 0.5) -> float:
+    """dt = cfl * dx / max(|u| + |h|) at collocation points."""
+    speed = _max_speed(to_physical(state.u, state.h))
+    return _cfl_dt(speed, state.grid.spacing, cfl)
+
+
+def step_rk4(state: MHDState, dt: float,
+             k1: Tendency | None = None) -> MHDState:
+    """Classical 4-stage explicit step; output re-projected and dealiased.
+
+    k1, when given, is rhs_primitive(state) evaluated by the caller; the
+    step sums the stages into its arrays.
+    """
     grid = state.grid
 
     def tendency(y, t):
@@ -275,8 +314,9 @@ def step_rk4(state: MHDState, dt: float) -> MHDState:
                                       SpectralField(grid, y[1]), t))
         return tend.du.coeffs, tend.dh.coeffs
 
+    first = None if k1 is None else (k1.du.coeffs, k1.dh.coeffs)
     unew, hnew = _rk4(tendency, (state.u.coeffs, state.h.coeffs), state.t, dt,
-                      "tendency")
+                      "tendency", first)
     u = _dealias_in_place(_leray_in_place(SpectralField(grid, unew)))
     h = _dealias_in_place(_leray_in_place(SpectralField(grid, hnew)))
     return MHDState(u, h, state.t + dt)
@@ -293,12 +333,20 @@ def cross_helicity(state: MHDState) -> float:
 BLOWUP_FACTOR = 1e6  # bound on the growth of bkm_integrand in a run
 
 
-def _sample_diagnostics(state: MHDState, params: GevreyParams):
-    """The record of a state with every column but the radius ones."""
+def _sample_diagnostics(state: MHDState, params: GevreyParams,
+                        maxima: StateMaxima | None = None):
+    """The record of a state with every column but the radius ones.
+
+    The gradient sup-norms come from `maxima` when the caller has the
+    state's first stage, else from sup_gradient.
+    """
     omega = curl(state.u)
     current = curl(state.h)
-    grad_u, omega_sup = sup_gradient(state.u)
-    grad_h, current_sup = sup_gradient(state.h)
+    if maxima is None:
+        sups = sup_gradient(state.u), sup_gradient(state.h)
+    else:
+        sups = maxima.grad_u, maxima.grad_h
+    (grad_u, omega_sup), (grad_h, current_sup) = sups
     norms = state_norms(omega, current, params, grad_u, grad_h)
     try:
         tau_fit = fit_radius(mode_amplitude(omega, current), params.s)
@@ -341,32 +389,47 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
     if model is None:
         model = RadiusModel(tau0=params.tau if params.tau > 0 else 1.0)
     tracker, records = RadiusTracker(model), []
-
-    def sample(state: MHDState) -> None:
-        records.append(tracker.track(_sample_diagnostics(state, params)))
-
-    sample(state)
-    bkm0 = max(records[0].bkm_integrand, 1e-300)
-    status = "completed"
-    steps_done = 0
     # One stop time for the loop and the final off-cadence sample, so a
     # completed run's last record always describes the returned state.
     t_stop = t_end - 1e-12 * max(t_end, 1.0)
+
+    # A state that is sampled or takes a CFL step, and is stepped from, has
+    # its first RK4 stage evaluated once: the sample and the CFL step read
+    # its maxima and the step takes it as k1.  A sample with no step after
+    # it transforms its state itself.
+    def first_stage(state: MHDState) -> Tendency | None:
+        return rhs_primitive(state, maxima=True) if state.t < t_stop else None
+
+    def sample(state: MHDState, k1: Tendency | None = None) -> None:
+        maxima = None if k1 is None else k1.maxima
+        records.append(tracker.track(_sample_diagnostics(state, params,
+                                                         maxima)))
+
+    k1 = first_stage(state)
+    sample(state, k1)
+    bkm0 = max(records[0].bkm_integrand, 1e-300)
+    status = "completed"
+    steps_done = 0
     while state.t < t_stop:
         if cfl is not None:
-            step_dt = min(cfl_timestep(state, cfl), t_end - state.t)
+            if k1 is None:
+                k1 = first_stage(state)
+            step_dt = min(_cfl_dt(k1.maxima.speed, state.grid.spacing, cfl),
+                          t_end - state.t)
         else:
             step_dt = min(dt, t_end - state.t)
         try:
-            state = step_rk4(state, step_dt)
+            state = step_rk4(state, step_dt, k1)
         except StepError:
             status = "non-finite"
             break
+        k1 = None  # the step summed its stages into k1's arrays
         steps_done += 1
         if steps_done % cadence != 0 and state.t < t_stop:
             continue
 
-        sample(state)
+        k1 = first_stage(state)
+        sample(state, k1)
         if tracker.collapsed:
             status = "radius-collapse"
             break

@@ -6,17 +6,26 @@ collocation samples, norm weights built as full (n, n, n) arrays, and the
 whole-history radius pipeline (cumulative I(t), the Gronwall majorant M(t)
 and the Bernoulli closed form) that RadiusTracker computes one sample at a
 time.  rk4_chain is the one driver here: it steps the package's one-interval
-radius kernel across a sampled history.  The last three functions are
+radius kernel across a sampled history.  The last four functions are
 test-side compositions of package kernels that the package itself never
 calls: the curl tendency of a primitive state, the gradient-coupling term
-that closes the current identity, and the brute-force trilinear form.
+that closes the current identity, the brute-force trilinear form, and a run
+loop that transforms every state once per use.
 """
 
 import numpy as np
 
+from gevreymhd import solver
 from gevreymhd.operators import curl, gradient_physical
-from gevreymhd.radius import _rk4_interval
-from gevreymhd.solver import _curl_tendency
+from gevreymhd.radius import RadiusModel, RadiusTracker, _rk4_interval
+from gevreymhd.solver import (
+    RunResult,
+    StepError,
+    _curl_tendency,
+    _sample_diagnostics,
+    cfl_timestep,
+    step_rk4,
+)
 from gevreymhd.spectral import _dealias_in_place, from_physical
 from gevreymhd.triads import (
     extract_band,
@@ -202,3 +211,45 @@ def trilinear_bruteforce(a, b, c, m, r, tau, s, kmax):
     C = extract_band(c, kmax)
     P = pair_marginal(A, B, C, kmax, m)
     return weighted_sum(P, weight_tables(kmax, r, tau, s)["full"])
+
+
+def reference_run(state, *, params, t_end, dt=None, cfl=None, cadence=1,
+                  model=None):
+    """solver.run from its public pieces, each transforming its own state.
+
+    The CFL step, the sample and every RK4 stage evaluate their state
+    separately, so a state that is sampled and stepped from is transformed
+    three times; the records, the status and the returned state are what
+    `run` must give bit for bit.
+    """
+    if model is None:
+        model = RadiusModel(tau0=params.tau if params.tau > 0 else 1.0)
+    tracker, records = RadiusTracker(model), []
+
+    def sample(state):
+        records.append(tracker.track(_sample_diagnostics(state, params)))
+
+    sample(state)
+    bkm0 = max(records[0].bkm_integrand, 1e-300)
+    status, steps_done = "completed", 0
+    t_stop = t_end - 1e-12 * max(t_end, 1.0)
+    while state.t < t_stop:
+        limit = dt if cfl is None else cfl_timestep(state, cfl)
+        try:
+            state = step_rk4(state, min(limit, t_end - state.t))
+        except StepError:
+            status = "non-finite"
+            break
+        steps_done += 1
+        if steps_done % cadence != 0 and state.t < t_stop:
+            continue
+        sample(state)
+        if tracker.collapsed:
+            status = "radius-collapse"
+            break
+        if records[-1].bkm_integrand > solver.BLOWUP_FACTOR * bkm0:
+            status = "blow-up"
+            break
+    if status == "non-finite" and records[-1].t != state.t:
+        sample(state)
+    return RunResult(records, state, status)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import gevreymhd
-from gevreymhd.checkpoint import save_checkpoint
+from gevreymhd.checkpoint import MAGIC, VERSION, _HEADER, save_checkpoint
 from gevreymhd.config import REQUIRED, SCHEMA, load_config
 from gevreymhd.norms import GevreyParams
 from gevreymhd.spectral import Grid, taylor_green_mhd
@@ -98,6 +98,24 @@ def other_gevrey_checkpoint(path):
                     GevreyParams(r=6.0, s=2.0), 0.1)
 
 
+def header(n=16, r=4.5):
+    return _HEADER.pack(MAGIC, VERSION, n, 0.0, r, 1.0, 0.1)
+
+
+def zero_grid_checkpoint(path):
+    # n = 0 holds no coefficients, so the header alone is the whole size.
+    path.write_bytes(header(n=0))
+
+
+def odd_grid_checkpoint(path):
+    path.write_bytes(header(n=6) + bytes(2 * 3 * 6**3 * 16))
+
+
+def negative_r_checkpoint(path):
+    small_checkpoint(path)
+    path.write_bytes(header(r=-3.0) + path.read_bytes()[_HEADER.size:])
+
+
 def late_checkpoint(path):
     state = taylor_green_mhd(Grid(16))
     state.t = 1.0
@@ -110,6 +128,12 @@ class TestErrorPath:
         ("resume", truncated_checkpoint, "checkpoint error:"),
         ("resume", wrong_magic_checkpoint, "checkpoint error:"),
         ("fit-radius", None, "checkpoint error: checkpoint not found"),
+        ("fit-radius", zero_grid_checkpoint,
+         "checkpoint error: bad checkpoint header: grid size"),
+        ("resume", odd_grid_checkpoint,
+         "checkpoint error: bad checkpoint header: grid size"),
+        ("resume", negative_r_checkpoint,
+         "checkpoint error: bad checkpoint header: r must be > 0"),
         ("resume", late_checkpoint, "config error: checkpoint time t=1.0 is "
                                     "already past t_end=0.05"),
         ("resume", other_gevrey_checkpoint,

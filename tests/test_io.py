@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from gevreymhd.checkpoint import (
+    MAGIC,
+    VERSION,
+    _HEADER,
     CheckpointError,
     load_checkpoint,
     save_checkpoint,
@@ -143,6 +146,27 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
             load_checkpoint(tmp_path / "none.gmhd")
+
+    @pytest.mark.parametrize("values, match", [
+        (dict(n=0), "grid size must be even and >= 8, got n=0"),
+        (dict(n=6), "grid size must be even and >= 8, got n=6"),
+        (dict(r=-3.0), "r must be > 0"),
+        (dict(s=0.5), "s must be >= 1"),
+        (dict(tau=-0.1), "tau must be >= 0"),
+        (dict(r=float("nan")), "non-finite"),
+        (dict(tau=float("inf")), "non-finite"),
+        (dict(t=float("nan")), "non-finite"),
+    ])
+    def test_header_values_rejected(self, tmp_path, values, match):
+        # Each file is the size its header asks for, so only the values
+        # can be at fault.
+        fields = {**dict(n=8, t=0.0, r=3.0, s=1.0, tau=0.1), **values}
+        n = fields["n"]
+        path = tmp_path / "state.gmhd"
+        path.write_bytes(_HEADER.pack(MAGIC, VERSION, *fields.values())
+                         + bytes(2 * 3 * n**3 * 16))
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
 
     def test_io_copies_no_state(self, tmp_path):
         # Saving writes the fields' own buffers; loading reads into the two

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -42,6 +43,7 @@ from oracles import (
     cross_gradient_curl_term,
     cumulative_integral,
     gronwall_majorant,
+    reference_run,
     rhs_curl,
     rk4_chain,
 )
@@ -350,6 +352,86 @@ class TestMemory:
         peak = traced_peak_fields(
             lambda: _sample_diagnostics(st, smooth_params()), 32)
         assert peak <= 6.0
+
+    def test_pooled_run_peak_allocation(self, monkeypatch):
+        # The first stage of the next step is held across each sample; the
+        # peak stays the one inside a step.
+        force_cpus(monkeypatch, 2)
+        st = taylor_green_mhd(Grid(64))
+
+        def call():
+            run(st, params=GevreyParams(r=4.5, tau=0.1), t_end=0.01,
+                dt=0.005, cadence=2, model=RadiusModel(C=1.0, tau0=0.1))
+
+        assert traced_peak_fields(call, 64) <= 10.3
+
+
+def record_bytes(rec) -> bytes:
+    """Every float of a diagnostics record, its norm record flattened."""
+    flat = []
+    for value in dataclasses.astuple(rec):
+        flat.extend(value if isinstance(value, tuple) else (value,))
+    return np.array(flat, dtype=np.float64).tobytes()
+
+
+def rb16_state():
+    """The random-band n=16 state of the dense CFL benchmark, seed 0."""
+    return random_band(Grid(16), seed=0, kmax=2, amplitude=0.05)
+
+
+class TestSharedFirstStage:
+    """run evaluates a sampled or CFL-stepped state's first stage once."""
+
+    @pytest.mark.parametrize("make, kwargs, status", [
+        (rb16_state, dict(cfl=0.05, cadence=1, t_end=0.1), "completed"),
+        (rb16_state, dict(cfl=0.05, cadence=3, t_end=0.1), "completed"),
+        (lambda: taylor_green_mhd(Grid(16)),
+         dict(dt=0.01, cadence=3, t_end=0.07), "completed"),
+        (lambda: random_band(Grid(16), seed=0, kmax=2, amplitude=1e3),
+         dict(dt=0.1, cadence=5, t_end=1.0,
+              model=RadiusModel(C=1e-30, tau0=0.1)), "non-finite"),
+        (lambda: taylor_green_mhd(Grid(16)),
+         dict(dt=0.01, cadence=2, t_end=0.5,
+              model=RadiusModel(C=3e4, tau0=0.1)), "radius-collapse"),
+    ], ids=["cfl-cadence-1", "cfl-cadence-3", "dt-off-cadence-end",
+            "non-finite", "radius-collapse"])
+    def test_run_is_bitwise_the_reference_loop(self, make, kwargs, status):
+        kwargs = dict(params=GevreyParams(r=4.5, tau=0.1), **kwargs)
+        kwargs.setdefault("model", RadiusModel(C=1.0, tau0=0.1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got, ref = run(make(), **kwargs), reference_run(make(), **kwargs)
+        assert got.status == ref.status == status
+        assert len(got.records) == len(ref.records) >= 2
+        for a, b in zip(got.records, ref.records):
+            assert record_bytes(a) == record_bytes(b)
+        assert got.state.t == ref.state.t
+        for a, b in ((got.state.u, ref.state.u), (got.state.h, ref.state.h)):
+            assert np.array_equal(as_bytes(a.coeffs), as_bytes(b.coeffs))
+
+    def test_transforms_per_step(self, monkeypatch):
+        # Each step's four stages make 30 transforms each: u and h (6),
+        # their gradients (18) and the two products (6).  Only the final
+        # sample, with no step after it, takes its two gradients (18) itself.
+        count = [0]
+
+        def counted(fn):
+            def wrapper(a, *args, **kwargs):
+                assert a.ndim == 3
+                count[0] += 1
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "ifftn", counted(np.fft.ifftn))
+        monkeypatch.setattr(np.fft, "fftn", counted(np.fft.fftn))
+        st = rb16_state()
+        t_end = 170 * cfl_timestep(st, 0.05)
+        count[0] = 0
+        res = run(st, params=GevreyParams(r=4.5, tau=0.1), t_end=t_end,
+                  cfl=0.05, cadence=1, model=RadiusModel(C=1.0, tau0=0.1))
+        steps = len(res.records) - 1
+        assert res.status == "completed" and steps == 170
+        assert count[0] == 120 * steps + 18 == 20418
 
 
 class TestConservation:
