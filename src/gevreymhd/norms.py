@@ -5,6 +5,7 @@ returns the square root of the corresponding (2pi)^3-weighted coefficient sum.
 """
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -36,6 +37,11 @@ class GevreyParams:
     tau: float = 0.0
 
     def __post_init__(self):
+        for name in ("r", "s", "tau"):
+            # Every comparison below is false for NaN.
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.r <= 0:
             raise ValueError(f"r must be > 0, got {self.r}")
         if self.s < 1:

@@ -15,6 +15,7 @@ from .spectral import (
     GridError,
     SpectralField,
     _dealias_in_place,
+    _real_inverse,
     _tables,
     _transform_components,
     from_physical,
@@ -106,13 +107,17 @@ def lambda_apply(v: SpectralField, spec: MultiplierSpec) -> SpectralField:
 
 
 def curl(v: SpectralField) -> SpectralField:
-    """Per-mode w_hat_k = i k x v_hat_k."""
-    k1, k2, k3 = _tables(v.grid.n).k
+    """Per-mode w_hat_k = i k x v_hat_k.
+
+    i k_m is zero at the wavenumber n/2, as in `gradient_physical`, so the
+    curl of a real field is real.
+    """
+    ik1, ik2, ik3 = _tables(v.grid.n).ik
     c = v.coeffs
     out = np.empty_like(c)
-    out[0] = 1j * (k2 * c[2] - k3 * c[1])
-    out[1] = 1j * (k3 * c[0] - k1 * c[2])
-    out[2] = 1j * (k1 * c[1] - k2 * c[0])
+    out[0] = ik2 * c[2] - ik3 * c[1]
+    out[1] = ik3 * c[0] - ik1 * c[2]
+    out[2] = ik1 * c[1] - ik2 * c[0]
     return SpectralField(v.grid, out)
 
 
@@ -120,7 +125,7 @@ _DIV_TOL = 1e-10
 
 
 def biot_savart(w: SpectralField) -> SpectralField:
-    """Invert the curl: v_hat_k = i k x w_hat_k / |k|^2.
+    """Invert the curl: v_hat_k = i k x w_hat_k / |k|^2, by `curl`.
 
     Rejects inputs whose spectral divergence exceeds _DIV_TOL relative to
     the largest coefficient.
@@ -140,17 +145,18 @@ def biot_savart(w: SpectralField) -> SpectralField:
 def gradient_physical(b: SpectralField) -> np.ndarray:
     """Collocation samples of the gradient tensor, shape (3, 3, n, n, n).
 
-    Entry [m, c] is d b_c / d x_m.
+    Entry [m, c] is d b_c / d x_m.  b must be a real field: only the
+    k_3 >= 0 half of its coefficients is read.
     """
     n = b.grid.n
+    half = n // 2 + 1
     ik = _tables(n).ik
     out = np.empty((3, 3, n, n, n))
 
     def job(i, buf):
         m, c = divmod(i, 3)
-        np.multiply(ik[m], b.coeffs[c], out=buf)
-        np.fft.ifftn(buf, out=buf)
-        np.multiply(buf.real, n**3, out=out[m, c])
+        np.multiply(ik[m][..., :half], b.coeffs[c][..., :half], out=buf)
+        _real_inverse(buf, buf, out[m, c])
 
     _transform_components(n, 9, job, scratch=True)
     return out

@@ -113,28 +113,29 @@ def _max_speed(phys: np.ndarray) -> float:
                         + np.linalg.norm(phys[3:], axis=0)))
 
 
-def _nonlinear(state: MHDState, maxima: bool):
+def _nonlinear(state: MHDState, reduce: str | None):
     """Physical-space evaluation of (u.grad)u - (h.grad)h and (u.grad)h - (h.grad)u.
 
     Shares the transforms of u, h and their gradients across the four
     advection terms, with one gradient tensor alive at a time; returns the
-    forward transforms of the two products, not yet dealiased, and, with
-    `maxima`, the StateMaxima reduced from those samples and tensors (else
-    None).
+    forward transforms of the two products, not yet dealiased, and what
+    `reduce` asks for from those samples and tensors: the StateMaxima for
+    "maxima", the CFL speed alone for "speed", else None.
     """
     grid = state.grid
     phys = to_physical(state.u, state.h)
-    speed = _max_speed(phys) if maxima else None
+    speed = _max_speed(phys) if reduce else None
+    sups = reduce == "maxima"
     prod = np.empty_like(phys)
     grad = gradient_physical(state.u)
-    sups_u = gradient_sups(grad) if maxima else None
+    sups_u = gradient_sups(grad) if sups else None
     _over_slabs(grid.n, _advect_slab, phys, grad, prod)
     del grad
     grad = gradient_physical(state.h)
     tmp = np.empty_like(phys[:3])
     _over_slabs(grid.n, _advect_difference_slab, phys, grad, prod, tmp)
     del phys, tmp
-    found = StateMaxima(speed, sups_u, gradient_sups(grad)) if maxima else None
+    found = StateMaxima(speed, sups_u, gradient_sups(grad)) if sups else speed
     del grad
     return from_physical(grid, prod), found
 
@@ -145,6 +146,16 @@ def _negate_slab(s, c):
     np.multiply(c[:, s], -1.0, out=c[:, s])
 
 
+def _rhs_primitive(state: MHDState, reduce: str | None):
+    """rhs_primitive's du and dh, then what `reduce` asks `_nonlinear` for."""
+    (nlu, nlh), found = _nonlinear(state, reduce)
+    for nl in (nlu, nlh):
+        # The projection zeroes k = 0 first, so the product makes it -0.0.
+        _leray_in_place(_dealias_in_place(nl))
+        _over_slabs(nl.grid.n, _negate_slab, nl.coeffs)
+    return nlu, nlh, found
+
+
 def rhs_primitive(state: MHDState, maxima: bool = False) -> Tendency:
     """du = -P[(u.grad)u - (h.grad)h], dh = -P[(u.grad)h - (h.grad)u].
 
@@ -152,12 +163,7 @@ def rhs_primitive(state: MHDState, maxima: bool = False) -> Tendency:
     from the samples and gradient tensors the evaluation makes anyway, so a
     caller that steps from the state transforms it once.
     """
-    (nlu, nlh), found = _nonlinear(state, maxima)
-    for nl in (nlu, nlh):
-        # The projection zeroes k = 0 first, so the product makes it -0.0.
-        _leray_in_place(_dealias_in_place(nl))
-        _over_slabs(nl.grid.n, _negate_slab, nl.coeffs)
-    return Tendency(nlu, nlh, found)
+    return Tendency(*_rhs_primitive(state, "maxima" if maxima else None))
 
 
 # The eight transport terms of the vorticity/current system, one row each:
@@ -395,7 +401,8 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
 
     # A state that is sampled or takes a CFL step, and is stepped from, has
     # its first RK4 stage evaluated once: the sample and the CFL step read
-    # its maxima and the step takes it as k1.  A sample with no step after
+    # its maxima and the step takes it as k1.  A CFL step from a state
+    # between samples reduces the speed alone.  A sample with no step after
     # it transforms its state itself.
     def first_stage(state: MHDState) -> Tendency | None:
         return rhs_primitive(state, maxima=True) if state.t < t_stop else None
@@ -412,9 +419,12 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
     steps_done = 0
     while state.t < t_stop:
         if cfl is not None:
-            if k1 is None:
-                k1 = first_stage(state)
-            step_dt = min(_cfl_dt(k1.maxima.speed, state.grid.spacing, cfl),
+            if k1 is None:  # a state between samples
+                du, dh, speed = _rhs_primitive(state, "speed")
+                k1 = Tendency(du, dh)
+            else:
+                speed = k1.maxima.speed
+            step_dt = min(_cfl_dt(speed, state.grid.spacing, cfl),
                           t_end - state.t)
         else:
             step_dt = min(dt, t_end - state.t)

@@ -9,14 +9,21 @@ real by enforcing Hermitian symmetry explicitly rather than using a
 half-spectrum layout; the signed-k index arithmetic needed by the triad
 verification code is then trivial.
 
-The 3-D transforms (`to_physical`, `from_physical` and
-`operators.gradient_physical`) make one numpy FFT call per field component,
-in place in arrays the caller allocated; `to_physical` and `from_physical`
-take the components of several fields in one call.  On grids with n >= 64
-the components are split into one contiguous group per CPU in the process's
-affinity mask; the calling thread runs one group and a module-level thread
-pool, created on first use, runs the others.  numpy's transforms release the
-interpreter lock, so the groups run in parallel, and the u and h of a state,
+The inverse transforms (`to_physical` and `operators.gradient_physical`)
+take real fields only: they read the k_3 >= 0 half of each component,
+c[..., :n//2+1], and make real samples by three one-axis passes, a complex
+inverse along axes 0 and 1 in a scratch array and a complex-to-real inverse
+along axis 2 written straight into the output, about half the work of a
+complex 3-D inverse.  The derivative multipliers i k_m, which the
+gradient and the curl share, are zero at the wavenumber n/2, whose mode is
+its own conjugate partner, so a derivative stays Hermitian.  The forward transform (`from_physical`) is a complex 3-D
+transform per component.  Every transform works in arrays the caller
+allocated, and `to_physical` and `from_physical` take the components of
+several fields in one call.  On grids with n >= 64 the components are split
+into one contiguous group per CPU in the process's affinity mask; the
+calling thread runs one group and a module-level thread pool, created on
+first use, runs the others.  numpy's transforms release the interpreter
+lock, so the groups run in parallel, and the u and h of a state,
 transformed together, make six components that split evenly over two or
 three CPUs.  The solver's elementwise n^3 passes (the dealias mask, the
 Leray projection, the advection products and the RK4 updates) run on the
@@ -135,9 +142,13 @@ class _Tables:
 
     The wavevectors are stored as the complex values numpy casts the integer
     ones to when they meet complex coefficients, so they compute the same
-    bits without a cast.  The n^3 tables, |k|^2 (1 at k = 0) and the dealias
-    mask, keep their float and boolean types: a complex copy would be 2 and
-    16 times larger, and the cast, done in small buffers, gives the same bits.
+    bits without a cast.  The derivative multipliers ik are zero at the
+    wavenumber n/2: that mode is its own partner, so i k c there would break
+    the Hermitian symmetry the real inverse transform assumes (the usual
+    convention for odd derivatives on an even grid).  The n^3 tables, |k|^2
+    (1 at k = 0) and the dealias mask, keep their float and boolean types: a
+    complex copy would be 2 and 16 times larger, and the cast, done in small
+    buffers, gives the same bits.
     """
 
     def __init__(self, n: int):
@@ -146,7 +157,8 @@ class _Tables:
         k2norm = (k1 * k1 + k2 * k2 + k3 * k3).astype(np.float64)
         k2norm[0, 0, 0] = 1.0  # the k=0 coefficient is zero anyway
         self.k = tuple(km.astype(np.complex128) for km in (k1, k2, k3))
-        self.ik = tuple(1j * km for km in (k1, k2, k3))
+        self.ik = tuple(1j * np.where(km == -n // 2, 0, km)
+                        for km in (k1, k2, k3))
         self.k2norm = k2norm
         self.mask = grid.band_mask(n / 3.0)
         for table in (*self.k, *self.ik, self.k2norm, self.mask):
@@ -229,16 +241,17 @@ def _run_groups(groups: int, run) -> list:
 def _transform_components(n: int, count: int, job, scratch: bool) -> None:
     """Call job(i, buf) for every component i in range(count) of an n^3 grid.
 
-    buf is an (n, n, n) complex scratch array owned by the component's group
-    (None without `scratch`); the caller allocates it, so worker threads
-    allocate nothing large, whose freed blocks glibc's per-thread arenas
-    would keep.  Groups are contiguous, one per CPU on grids with
-    n >= _POOL_MIN_N, and run as `_run_groups` runs them.
+    buf is an (n, n, n//2 + 1) complex scratch array, the shape of a
+    component's k_3 >= 0 half, owned by the component's group (None without
+    `scratch`); the caller allocates it, so worker threads allocate nothing
+    large, whose freed blocks glibc's per-thread arenas would keep.  Groups
+    are contiguous, one per CPU on grids with n >= _POOL_MIN_N, and run as
+    `_run_groups` runs them.
     """
     groups = min(count, _cpu_count()) if n >= _POOL_MIN_N else 1
     bounds = [count * g // groups for g in range(groups + 1)]
     if scratch:
-        bufs = np.empty((groups, n, n, n), dtype=np.complex128)
+        bufs = np.empty((groups, n, n, n // 2 + 1), dtype=np.complex128)
     else:
         bufs = [None] * groups
 
@@ -268,12 +281,27 @@ def _over_slabs(n: int, job, *args) -> list:
         groups, lambda g: job(slice(bounds[g], bounds[g + 1]), *args))
 
 
-def to_physical(*fields: SpectralField) -> np.ndarray:
-    """Inverse transform to collocation samples, real.
+def _real_inverse(half: np.ndarray, buf: np.ndarray, out: np.ndarray) -> None:
+    """Unscaled real inverse of a component's k_3 >= 0 half, into out.
 
-    The samples of several fields come in one array, their components one
-    after another: shape (3m, n, n, n) for m fields, so the components of
-    all of them are shared out over the CPUs together.
+    half is c[..., :n//2+1] of a Hermitian component (it may be buf
+    itself); buf is scratch of its shape and is overwritten.  The passes
+    are one-axis calls of numpy's n-D functions, which allocate no n^3
+    intermediates as a 3-axis `irfftn` would.
+    """
+    np.fft.ifftn(half, axes=(0,), norm="forward", out=buf)
+    np.fft.ifftn(buf, axes=(1,), norm="forward", out=buf)
+    np.fft.irfftn(buf, s=out.shape[-1:], axes=(2,), norm="forward", out=out)
+
+
+def to_physical(*fields: SpectralField) -> np.ndarray:
+    """Inverse transform of real fields to collocation samples.
+
+    The fields must be real (Hermitian coefficients): only the k_3 >= 0
+    half of each component is read.  The samples of several fields come in
+    one array, their components one after another: shape (3m, n, n, n) for
+    m fields, so the components of all of them are shared out over the
+    CPUs together.
     """
     n = fields[0].grid.n
     if any(f.grid.n != n for f in fields):
@@ -282,8 +310,7 @@ def to_physical(*fields: SpectralField) -> np.ndarray:
     out = np.empty((len(coeffs), n, n, n))
 
     def job(i, buf):
-        np.fft.ifftn(coeffs[i], out=buf)
-        np.multiply(buf.real, n**3, out=out[i])
+        _real_inverse(coeffs[i][..., :n // 2 + 1], buf, out[i])
 
     _transform_components(n, len(coeffs), job, scratch=True)
     return out

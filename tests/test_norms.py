@@ -42,6 +42,15 @@ class TestParams:
         with pytest.raises(ValueError):
             GevreyParams(r=1.0, tau=-0.1)
 
+    @pytest.mark.parametrize("field", ["r", "s", "tau"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_value_named(self, field, value):
+        kwargs = dict(r=4.5, s=1.0, tau=0.1)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            GevreyParams(**kwargs)
+
     def test_subcritical_warning(self):
         with pytest.warns(UserWarning, match="threshold"):
             GevreyParams(r=3.0, s=1.0).warn_if_subcritical()

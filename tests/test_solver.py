@@ -13,7 +13,7 @@ from gevreymhd.operators import (
     gradient_physical,
     inner_l2,
 )
-from gevreymhd import solver, spectral
+from gevreymhd import norms, solver, spectral
 from gevreymhd.radius import RadiusModel, radius_lower_bound
 from gevreymhd.solver import (
     StepError,
@@ -374,6 +374,14 @@ def record_bytes(rec) -> bytes:
     return np.array(flat, dtype=np.float64).tobytes()
 
 
+def counted_calls(fn, count: list):
+    """fn, counting its calls in count[0]."""
+    def wrapper(*args, **kwargs):
+        count[0] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def rb16_state():
     """The random-band n=16 state of the dense CFL benchmark, seed 0."""
     return random_band(Grid(16), seed=0, kmax=2, amplitude=0.05)
@@ -413,6 +421,7 @@ class TestSharedFirstStage:
         # Each step's four stages make 30 transforms each: u and h (6),
         # their gradients (18) and the two products (6).  Only the final
         # sample, with no step after it, takes its two gradients (18) itself.
+        # An inverse transform is counted once, by its complex-to-real pass.
         count = [0]
 
         def counted(fn):
@@ -422,7 +431,7 @@ class TestSharedFirstStage:
                 return fn(a, *args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(np.fft, "ifftn", counted(np.fft.ifftn))
+        monkeypatch.setattr(np.fft, "irfftn", counted(np.fft.irfftn))
         monkeypatch.setattr(np.fft, "fftn", counted(np.fft.fftn))
         st = rb16_state()
         t_end = 170 * cfl_timestep(st, 0.05)
@@ -432,6 +441,22 @@ class TestSharedFirstStage:
         steps = len(res.records) - 1
         assert res.status == "completed" and steps == 170
         assert count[0] == 120 * steps + 18 == 20418
+
+    def test_sup_norms_only_for_sampled_states(self, monkeypatch):
+        # Every CFL step reads its state's speed, but only the sampled
+        # states reduce their two gradient tensors.
+        calls, steps = [0], [0]
+        counted = counted_calls(norms.gradient_sups, calls)
+        monkeypatch.setattr(norms, "gradient_sups", counted)
+        monkeypatch.setattr(solver, "gradient_sups", counted)
+        monkeypatch.setattr(solver, "step_rk4",
+                            counted_calls(solver.step_rk4, steps))
+        res = run(rb16_state(), params=GevreyParams(r=4.5, tau=0.1),
+                  t_end=0.1, cfl=0.05, cadence=3,
+                  model=RadiusModel(C=1.0, tau0=0.1))
+        assert res.status == "completed"
+        assert steps[0] > len(res.records) >= 3
+        assert calls[0] == 2 * len(res.records)
 
 
 class TestConservation:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gevreymhd import spectral
-from gevreymhd.operators import gradient_physical
+from gevreymhd.operators import curl, gradient_physical
 from gevreymhd.solver import rhs_primitive
 from gevreymhd.spectral import (
     Grid,
@@ -209,6 +209,15 @@ class TestPooledTransforms:
         monkeypatch.setattr(spectral, "_cpu_count", lambda: count)
         monkeypatch.setattr(spectral, "_pool", None)
 
+    @staticmethod
+    def half_spectrum_inverse(c):
+        """Unscaled real inverse over the mode axes of stacked components,
+        read from their k_3 >= 0 half: axis 1, axis 2, then axis 3."""
+        n = c.shape[-1]
+        x = np.fft.ifftn(c[..., :n // 2 + 1], axes=(1,), norm="forward")
+        x = np.fft.ifftn(x, axes=(2,), norm="forward")
+        return np.fft.irfftn(x, s=(n,), axes=(3,), norm="forward")
+
     @pytest.mark.parametrize("n, cpus", [(16, None), (64, None), (64, 1),
                                          (64, 2), (64, 4)])
     def test_equal_to_batched_numpy_calls(self, n, cpus, monkeypatch):
@@ -216,8 +225,7 @@ class TestPooledTransforms:
             self.force_cpus(monkeypatch, cpus)
         field = self.random_field(n)
         c = field.coeffs
-        samples = np.ascontiguousarray((np.fft.ifftn(c, axes=(1, 2, 3))
-                                        * n**3).real)
+        samples = self.half_spectrum_inverse(c)
         assert np.array_equal(to_physical(field), samples)
         coeffs = np.fft.fftn(samples, axes=(1, 2, 3)) / n**3
         coeffs[:, 0, 0, 0] = 0.0
@@ -225,9 +233,9 @@ class TestPooledTransforms:
                               coeffs)
         grad = gradient_physical(field)
         for m, km in enumerate(field.grid.wavevectors()):
-            assert np.array_equal(
-                grad[m], (np.fft.ifftn(1j * km * c, axes=(1, 2, 3))
-                          * n**3).real)
+            km = np.where(km == -n // 2, 0, km)  # no derivative at n/2
+            assert np.array_equal(grad[m],
+                                  self.half_spectrum_inverse(1j * km * c))
 
     @pytest.mark.parametrize("n, cpus", [(16, None), (64, 2), (64, 3)])
     def test_several_fields_equal_one_at_a_time(self, n, cpus, monkeypatch):
@@ -306,6 +314,48 @@ class TestPooledTransforms:
             if child.is_alive():
                 child.kill()
                 child.join()
+
+
+class TestRealInverse:
+    """On real fields the half-spectrum inverse is the complex one, scaled."""
+
+    @staticmethod
+    def real_field(kind, n):
+        grid = Grid(n)
+        if kind == "full-spectrum":  # Nyquist modes included
+            rng = np.random.default_rng(11)
+            shape = (3, n, n, n)
+            return symmetrize(SpectralField(
+                grid, rng.standard_normal(shape)
+                + 1j * rng.standard_normal(shape)))
+        if kind == "band-limited":
+            return random_band_field(grid, 12, (n - 1) // 3)
+        return taylor_green_mhd(grid).u
+
+    @staticmethod
+    def assert_near_complex_inverse(samples, coeffs):
+        n = samples.shape[-1]
+        old = (np.fft.ifftn(coeffs, axes=(-3, -2, -1)) * n**3).real
+        tol = 16 * np.finfo(np.float64).eps
+        assert np.max(np.abs(samples - old)) <= tol * np.max(np.abs(old))
+
+    @pytest.mark.parametrize("kind", ["full-spectrum", "band-limited",
+                                      "taylor-green"])
+    @pytest.mark.parametrize("n", [8, 16, 20, 64])
+    def test_samples_gradient_and_curl_match_complex_inverse(self, kind, n):
+        field = self.real_field(kind, n)
+        c = field.coeffs
+        k1, k2, k3 = field.grid.wavevectors()
+        self.assert_near_complex_inverse(to_physical(field), c)
+        self.assert_near_complex_inverse(
+            gradient_physical(field),
+            np.stack([1j * km * c for km in (k1, k2, k3)]))
+        # The curl's i k is zero at n/2 too, so its samples are those of
+        # the full i k x c, whose part at n/2 the real part drops.
+        self.assert_near_complex_inverse(
+            to_physical(curl(field)),
+            1j * np.stack([k2 * c[2] - k3 * c[1], k3 * c[0] - k1 * c[2],
+                           k1 * c[1] - k2 * c[0]]))
 
 
 class TestSlabs:
