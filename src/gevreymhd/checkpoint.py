@@ -28,8 +28,31 @@ VERSION = 1
 _HEADER = struct.Struct("<4sII dddd")
 
 
+# Largest Hermitian or divergence defect of a field read, relative to its
+# largest coefficient: the states a run writes sit near 1e-18.
+_DEFECT_RTOL = 1e-10
+
+
 class CheckpointError(ValueError):
     """Malformed, truncated or incompatible checkpoint file."""
+
+
+def _check_payload(name: str, field: SpectralField) -> None:
+    """Reject a field that is not finite, Hermitian and solenoidal.
+
+    The transforms read only the k_3 >= 0 half of a field, so a field that
+    is not Hermitian would silently change meaning.
+    """
+    scale = field.max_amplitude()
+    if not math.isfinite(scale):
+        raise CheckpointError(f"field {name} has non-finite coefficients")
+    for what, defect in (("Hermitian", field.hermitian_defect()),
+                         ("divergence", field.divergence_defect())):
+        if defect > _DEFECT_RTOL * scale:
+            raise CheckpointError(
+                f"field {name} has a {what} defect of {defect:.3e}, above "
+                f"{_DEFECT_RTOL:g} of its largest coefficient {scale:.3e}"
+            )
 
 
 def save_checkpoint(path, state: MHDState, params: GevreyParams,
@@ -56,7 +79,8 @@ def load_checkpoint(path) -> tuple:
 
     The header's grid size and (t, r, s, tau) are validated and the file size
     checked against the header before the fields are read straight into the
-    arrays the state keeps.
+    arrays the state keeps; each field must then be finite, Hermitian and
+    solenoidal to roundoff.
     """
     path = Path(path)
     if not path.is_file():
@@ -91,9 +115,10 @@ def load_checkpoint(path) -> tuple:
                 f"truncated checkpoint: {size} bytes, expected {expected}"
             )
         fields = []
-        for _ in range(2):
+        for name in ("u", "h"):
             coeffs = np.empty((3, n, n, n), dtype="<c16")
             if fh.readinto(coeffs) != coeffs.nbytes:
                 raise CheckpointError(f"truncated checkpoint: {path} ended early")
             fields.append(SpectralField(grid, coeffs))
+            _check_payload(name, fields[-1])
     return MHDState(*fields, t), params, tau

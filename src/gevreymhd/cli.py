@@ -152,7 +152,7 @@ def cmd_verify(args) -> int:
         omega = curl(st.u)
         current = curl(st.h)
         spec = MultiplierSpec(m=1, r=1.5, tau=0.2, s=1.5)
-        for tag in ("3.3", "3.7", "3.15", "3.23", "3.25", "3.32"):
+        for tag in lab.KNOWN_IDENTITIES:
             rep = lab.triad_decomposition_check(st.u, st.h, omega, current,
                                                 spec, tag)
             reports.append((f"identity-{tag}", rep.residual,

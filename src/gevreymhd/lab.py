@@ -7,7 +7,7 @@ exhaustively; constant estimation reports empirical sup ratios against the
 right-hand-side structures with unit constant.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,14 +16,15 @@ from .operators import (
     MultiplierSpec,
     advect,
     biot_savart,
+    cross_gradient_curl_term,
     curl,
     inner_l2,
     inner_weighted,
     lambda_apply,
     multiplier_weights,
 )
-from .solver import CURL_TERMS, MHDState, step_rk4_curl
-from .spectral import SpectralField, leray_project
+from .solver import MHDState, step_rk4
+from .spectral import SpectralField
 from .triads import extract_band, pair_marginal, weight_tables, weighted_sum
 
 TINY = 1e-300
@@ -301,61 +302,79 @@ def operator_inequality_suite(fields, r: float = 3.0, tau: float = 0.2,
     }
 
 
+# The eight transport terms of the vorticity/current system, one row each:
+# (a, b, c, sign, lemma) adds sign (a.grad)b to the tendency of c.  Paired
+# with c, the row's term is one term of the weighted balance, and `lemma`
+# tags the trilinear estimate that bounds it: 3.1 and 3.2 make up K1, 3.21
+# is K2, 3.22 is K3.  The current rows are not the curl of the induction
+# equation; K4 (balance_terms) is their difference from it.
+CURL_TERMS = (
+    ("u", "omega", "omega", -1.0, "3.1"),
+    ("omega", "u", "omega", 1.0, "3.1"),
+    ("u", "current", "current", -1.0, "3.2"),
+    ("current", "u", "current", -1.0, "3.2"),
+    ("h", "current", "omega", 1.0, "3.21"),
+    ("h", "omega", "current", 1.0, "3.21"),
+    ("current", "h", "omega", -1.0, "3.22"),
+    ("omega", "h", "current", 1.0, "3.22"),
+)
 KNOWN_LEMMAS = tuple(dict.fromkeys(row[4] for row in CURL_TERMS))
 _BALANCE_GROUP = {"3.1": 0, "3.2": 0, "3.21": 1, "3.22": 2}  # lemma -> K index
 
 
-def _pair_norm_sq(omega, current, spec: MultiplierSpec) -> float:
+def _curl_norm_sq(state: MHDState, spec: MultiplierSpec) -> float:
+    """The weighted ||omega||^2 + ||J||^2 of a primitive state."""
+    omega, current = curl(state.u), curl(state.h)
     return (weighted_inner(omega, omega, spec)
             + weighted_inner(current, current, spec))
 
 
-def balance_terms(omega: SpectralField, current: SpectralField,
+def balance_terms(u: SpectralField, h: SpectralField,
                   spec: MultiplierSpec) -> tuple:
-    """K1, K2, K3: the weighted balance's sums over the rows of CURL_TERMS.
+    """K1..K4 of d/dt 1/2 (|omega|^2 + |J|^2) at the primitive pair (u, h).
 
-    The transporting fields are recovered from the divergence-free parts of
-    the pair, matching the prognostic vorticity/current stepper.
+    K1, K2 and K3 sum the rows of CURL_TERMS by lemma.  K4 pairs with J the
+    rest of the curl of the induction tendency,
+    -(omega.grad)h + (J.grad)u - [E(u, h) - E(h, u)], which no lemma covers.
     """
-    fields = {"u": biot_savart(leray_project(omega)),
-              "h": biot_savart(leray_project(current)),
-              "omega": omega, "current": current}
+    fields = {"u": u, "h": h, "omega": curl(u), "current": curl(h)}
+    trilinear = {(a, b, c): transform_trilinear(fields[a], fields[b],
+                                                fields[c], spec)
+                 for a, b, c, _, _ in CURL_TERMS}
     k = [0.0, 0.0, 0.0]
     for a, b, c, sign, lemma in CURL_TERMS:
-        k[_BALANCE_GROUP[lemma]] += sign * transform_trilinear(
-            fields[a], fields[b], fields[c], spec)
-    return tuple(k)
+        k[_BALANCE_GROUP[lemma]] += sign * trilinear[a, b, c]
+    k4 = (trilinear["current", "u", "current"]
+          - trilinear["omega", "h", "current"]
+          - weighted_inner(cross_gradient_curl_term(u, h), fields["current"],
+                           spec))
+    return (*k, k4)
 
 
 def energy_balance_check(state: MHDState, spec: MultiplierSpec,
                          dt_values, tau_dot: float = 0.0) -> dict:
-    """Central-difference check of the weighted energy balance.
+    """Central-difference check of the weighted energy balance along step_rk4.
 
-    For each dt, one RK4 step gives the norm increment; the balance terms
-    (plus the tau-rate term when tau_dot != 0) are evaluated at the half
-    step.  Returns per-dt defects and observed convergence orders.
+    For each dt, step_rk4 takes the state a half step and a full step; the
+    norm increment over the full step is compared with K1 + K2 + K3 + K4
+    (plus the tau-rate term when tau_dot != 0) at the half step.  Each
+    stepped state is dropped once its curls are taken.  Returns per-dt
+    defects and observed convergence orders.
     """
-    omega0 = curl(state.u)
-    current0 = curl(state.h)
+    n0 = 0.5 * _curl_norm_sq(state, spec)
     defects = []
     for dt in dt_values:
-        w_half, j_half = step_rk4_curl(omega0, current0, 0.5 * dt)
-        w_full, j_full = step_rk4_curl(omega0, current0, dt)
-        spec1 = spec
-        spec_h = spec
+        spec1 = replace(spec, tau=spec.tau + tau_dot * dt)
+        spec_h = replace(spec, tau=spec.tau + 0.5 * tau_dot * dt)
+        half = step_rk4(state, 0.5 * dt)
+        terms = balance_terms(half.u, half.h, spec_h)
+        rhs = sum(terms)
         if tau_dot != 0.0:
-            spec1 = MultiplierSpec(spec.m, spec.r, spec.tau + tau_dot * dt, spec.s)
-            spec_h = MultiplierSpec(spec.m, spec.r, spec.tau + 0.5 * tau_dot * dt, spec.s)
-        n0 = 0.5 * _pair_norm_sq(omega0, current0, spec)
-        n1 = 0.5 * _pair_norm_sq(w_full, j_full, spec1)
-        deriv = (n1 - n0) / dt
-        k1, k2, k3 = balance_terms(w_half, j_half, spec_h)
-        rhs = k1 + k2 + k3
-        if tau_dot != 0.0:
-            y_spec = MultiplierSpec(spec_h.m, spec_h.r + 0.5 / spec_h.s,
-                                    spec_h.tau, spec_h.s)
-            rhs += tau_dot * _pair_norm_sq(w_half, j_half, y_spec)
-        scale = max(abs(deriv), abs(k1) + abs(k2) + abs(k3), TINY)
+            y_spec = replace(spec_h, r=spec_h.r + 0.5 / spec_h.s)
+            rhs += tau_dot * _curl_norm_sq(half, y_spec)
+        del half
+        deriv = (0.5 * _curl_norm_sq(step_rk4(state, dt), spec1) - n0) / dt
+        scale = max(abs(deriv), sum(abs(x) for x in terms), TINY)
         defects.append(abs(deriv - rhs) / scale)
     orders = [
         float(np.log2(defects[i] / defects[i + 1]))

@@ -2,8 +2,9 @@
 
 Implements the diagonal multipliers used by the Gevrey machinery (the l1-symbol
 operator with symbol |k|_1, the directional operators with symbols |k_m| and
-sgn(k_m), and the exponential Gevrey weight), plus curl, Biot-Savart inversion
-and pseudo-spectral advection.
+sgn(k_m), and the exponential Gevrey weight), plus curl, Biot-Savart inversion,
+pseudo-spectral advection and the cross-gradient term of the curl of the
+induction nonlinearity.
 """
 
 from dataclasses import dataclass
@@ -173,6 +174,29 @@ def advect(a: SpectralField, b: SpectralField) -> SpectralField:
     gradb = gradient_physical(b)
     prod = np.einsum("mxyz,mcxyz->cxyz", aphys, gradb)
     return _dealias_in_place(from_physical(a.grid, prod))
+
+
+def cross_gradient_curl_term(u: SpectralField,
+                             h: SpectralField) -> SpectralField:
+    """E(u, h) - E(h, u), the gradient coupling in the curl of the induction
+    nonlinearity, dealiased.
+
+    curl((a.grad)b) = (a.grad)(curl b) + E(a, b) with
+    E(a, b)_i = eps_ijk d_j a_l d_l b_k, from the two gradient tensors.
+    """
+    # gradient_physical[m, c] is d_m of component c: d_j u_l is gu[j, l],
+    # and d_l h_k is gh[:, k], contracted over its leading axis l.
+    gu, gh = gradient_physical(u), gradient_physical(h)
+    out = np.empty(gu.shape[1:])
+
+    def pair(a, b, j, k):
+        return np.einsum("lxyz,lxyz->xyz", a[j], b[:, k])
+
+    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        out[i] = ((pair(gu, gh, j, k) - pair(gu, gh, k, j))
+                  - (pair(gh, gu, j, k) - pair(gh, gu, k, j)))
+    del gu, gh
+    return _dealias_in_place(from_physical(u.grid, out))
 
 
 def _mode_products(f: SpectralField, g: SpectralField) -> np.ndarray:

@@ -1,13 +1,12 @@
 """Time integration of ideal incompressible MHD with on-line diagnostics.
 
-The primitive pair (u, h) is evolved with classical RK4; the nonlinear terms
-are evaluated pseudo-spectrally, Leray-projected and dealiased every stage.
-The vorticity/current system is a prognostic stepper, `step_rk4_curl`, whose
-eight transport terms are the rows of `CURL_TERMS`; the lab's balance groups
-and lemma constants read the same table.  The run loop feeds the
-analyticity-radius tracker; a state it samples or takes a CFL step from is
-transformed once, by the first RK4 stage of the step that follows, which
-also reduces the CFL speed and the gradient sup-norms.
+The primitive pair (u, h) is evolved with classical RK4, `step_rk4`, the
+package's one time stepper; the nonlinear terms are evaluated
+pseudo-spectrally, Leray-projected and dealiased every stage.  The lab checks
+the weighted vorticity/current balance on states this stepper produces.  The
+run loop feeds the analyticity-radius tracker; a state it samples or takes a
+CFL step from is transformed once, by the first RK4 stage of the step that
+follows, which also reduces the CFL speed and the gradient sup-norms.
 """
 
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from .norms import (
     state_norms,
     sup_gradient,
 )
-from .operators import biot_savart, curl, gradient_physical, inner_l2
+from .operators import curl, gradient_physical, inner_l2
 from .radius import RadiusModel, RadiusTracker
 from .spectral import (
     MHDState,
@@ -33,7 +32,6 @@ from .spectral import (
     _leray_in_place,
     _over_slabs,
     from_physical,
-    leray_project,
     to_physical,
 )
 
@@ -53,7 +51,7 @@ class StateMaxima:
 
 @dataclass
 class Tendency:
-    """Time derivatives of a pair of fields (primitive or curled form)."""
+    """Time derivatives of the primitive pair (u, h)."""
 
     du: SpectralField
     dh: SpectralField
@@ -166,58 +164,6 @@ def rhs_primitive(state: MHDState, maxima: bool = False) -> Tendency:
     return Tendency(*_rhs_primitive(state, "maxima" if maxima else None))
 
 
-# The eight transport terms of the vorticity/current system, one row each:
-# (a, b, c, sign, lemma) adds sign (a.grad)b to the tendency of c.  Paired
-# with c, the row's term is one term of the weighted balance
-# d/dt 1/2 (|omega|^2 + |J|^2) = K1 + K2 + K3, and `lemma` tags the trilinear
-# estimate that bounds it: 3.1 and 3.2 make up K1, 3.21 is K2, 3.22 is K3.
-CURL_TERMS = (
-    ("u", "omega", "omega", -1.0, "3.1"),
-    ("omega", "u", "omega", 1.0, "3.1"),
-    ("u", "current", "current", -1.0, "3.2"),
-    ("current", "u", "current", -1.0, "3.2"),
-    ("h", "current", "omega", 1.0, "3.21"),
-    ("h", "omega", "current", 1.0, "3.21"),
-    ("current", "h", "omega", -1.0, "3.22"),
-    ("omega", "h", "current", 1.0, "3.22"),
-)
-
-
-def _curl_tendency(u: SpectralField, h: SpectralField, omega: SpectralField,
-                   current: SpectralField) -> Tendency:
-    """The rows of CURL_TERMS summed per target, for given transporting fields.
-
-    Each field is transformed and differentiated once, with one gradient
-    tensor alive at a time; every row that differentiates it adds its
-    product to the physical-space sum of its target.
-    """
-    fields = {"u": u, "h": h, "omega": omega, "current": current}
-    phys = {name: to_physical(f) for name, f in fields.items()}
-    tend = {"omega": np.zeros_like(phys["u"]),
-            "current": np.zeros_like(phys["u"])}
-    # The differentiation order fixes the order of each target's sum.
-    for name in ("omega", "current", "u", "h"):
-        grad = gradient_physical(fields[name])
-        for a, b, c, sign, _ in CURL_TERMS:
-            if b == name:
-                tend[c] += sign * np.einsum("mxyz,mcxyz->cxyz", phys[a], grad)
-        del grad
-    return Tendency(*(_dealias_in_place(from_physical(omega.grid, tend[c]))
-                      for c in ("omega", "current")))
-
-
-def rhs_curl_pair(omega: SpectralField, current: SpectralField) -> Tendency:
-    """Tendency of a prognostic vorticity/current pair.
-
-    The transporting fields are recovered by curl inversion of the
-    divergence-free parts of the pair; the pair itself is not projected, so
-    this closes the vorticity/current system as stated, whose current
-    tendency carries a gradient part.
-    """
-    return _curl_tendency(biot_savart(leray_project(omega)),
-                          biot_savart(leray_project(current)), omega, current)
-
-
 def _axpy_slab(s, out, base, a, x, prod):
     """out = base + prod on slab s, prod = a x rounded first; per array."""
     for oi, bi, xi, pi in zip(out, base, x, prod):
@@ -232,65 +178,6 @@ def _finite_slab(s, arrays, flags):
         np.isfinite(c[:, s], out=flags[:, s])
         ok = ok and bool(flags[:, s].all())
     return ok
-
-
-def _rk4(tendency, y0: tuple, t: float, dt: float, what: str,
-         k1: tuple | None = None) -> tuple:
-    """One classical RK4 step over a tuple of (3, n, n, n) coefficient arrays.
-
-    tendency(arrays, t) returns a tuple of new derivative arrays, which this
-    function may overwrite; k1, when given, is tendency(y0, t) evaluated by
-    the caller and is overwritten the same way.  A non-finite stage tendency
-    raises StepError naming `what`.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    n = y0[0].shape[-1]
-    flags = np.empty(y0[0].shape, dtype=bool)
-
-    def checked(k, t_stage):
-        if not all(_over_slabs(n, _finite_slab, k, flags)):
-            raise StepError(
-                f"non-finite {what} at t={t_stage:.6g} (dt={dt:.3g})"
-            )
-        return k
-
-    # The update is y0 + dt/6 * (((k1 + 2 k2) + 2 k3) + k4), summed in that
-    # order into k1's arrays as each stage finishes, so only one stage
-    # derivative is alive at a time.  One preallocated buffer holds each
-    # stage input and, once its stage has run, that stage's weighted
-    # derivative, so the step makes no temporaries of its own; every pass
-    # runs slab by slab on the transform pool at n >= 64.  This is the
-    # textbook combination evaluated left to right with the scalar as the
-    # left operand, bit for bit, which the reference outputs of the primitive
-    # stepper depend on.
-    total = checked(tendency(y0, t) if k1 is None else k1, t)
-    k = total
-    y = tuple(np.empty_like(yi) for yi in y0)
-    for frac, weight in ((0.5, 2), (0.5, 2), (1.0, 1)):
-        _over_slabs(n, _axpy_slab, y, y0, frac * dt, k, y)
-        del k
-        k = checked(tendency(y, t + frac * dt), t + frac * dt)
-        _over_slabs(n, _axpy_slab, total, total, weight, k, y)
-    del k, y
-    _over_slabs(n, _axpy_slab, total, y0, dt / 6.0, total, total)
-    return total
-
-
-def step_rk4_curl(omega: SpectralField, current: SpectralField,
-                  dt: float) -> tuple:
-    """One RK4 step of the prognostic vorticity/current system."""
-    grid = omega.grid
-
-    def tendency(y, t):
-        tend = rhs_curl_pair(SpectralField(grid, y[0]),
-                             SpectralField(grid, y[1]))
-        return tend.du.coeffs, tend.dh.coeffs
-
-    wnew, jnew = _rk4(tendency, (omega.coeffs, current.coeffs), 0.0, dt,
-                      "curl-pair tendency")
-    return (_dealias_in_place(SpectralField(grid, wnew)),
-            _dealias_in_place(SpectralField(grid, jnew)))
 
 
 def _cfl_dt(speed: float, spacing: float, cfl: float) -> float:
@@ -311,20 +198,46 @@ def step_rk4(state: MHDState, dt: float,
     """Classical 4-stage explicit step; output re-projected and dealiased.
 
     k1, when given, is rhs_primitive(state) evaluated by the caller; the
-    step sums the stages into its arrays.
+    step sums the stages into its arrays.  A non-finite stage tendency
+    raises StepError.
     """
-    grid = state.grid
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    grid, n = state.grid, state.grid.n
+    y0 = (state.u.coeffs, state.h.coeffs)
+    flags = np.empty(y0[0].shape, dtype=bool)
 
-    def tendency(y, t):
-        tend = rhs_primitive(MHDState(SpectralField(grid, y[0]),
-                                      SpectralField(grid, y[1]), t))
-        return tend.du.coeffs, tend.dh.coeffs
+    def checked(tend: Tendency, t_stage: float) -> tuple:
+        k = (tend.du.coeffs, tend.dh.coeffs)
+        if not all(_over_slabs(n, _finite_slab, k, flags)):
+            raise StepError(
+                f"non-finite tendency at t={t_stage:.6g} (dt={dt:.3g})"
+            )
+        return k
 
-    first = None if k1 is None else (k1.du.coeffs, k1.dh.coeffs)
-    unew, hnew = _rk4(tendency, (state.u.coeffs, state.h.coeffs), state.t, dt,
-                      "tendency", first)
-    u = _dealias_in_place(_leray_in_place(SpectralField(grid, unew)))
-    h = _dealias_in_place(_leray_in_place(SpectralField(grid, hnew)))
+    # The update is y0 + dt/6 * (((k1 + 2 k2) + 2 k3) + k4), summed in that
+    # order into k1's arrays as each stage finishes, so only one stage
+    # derivative is alive at a time.  One preallocated buffer holds each
+    # stage input and, once its stage has run, that stage's weighted
+    # derivative, so the step makes no temporaries of its own; every pass
+    # runs slab by slab on the transform pool at n >= 64.  This is the
+    # textbook combination evaluated left to right with the scalar as the
+    # left operand, bit for bit, which the reference outputs depend on.
+    total = checked(rhs_primitive(state) if k1 is None else k1, state.t)
+    k = total
+    y = tuple(np.empty_like(yi) for yi in y0)
+    for frac, weight in ((0.5, 2), (0.5, 2), (1.0, 1)):
+        _over_slabs(n, _axpy_slab, y, y0, frac * dt, k, y)
+        del k
+        t_stage = state.t + frac * dt
+        k = checked(rhs_primitive(MHDState(SpectralField(grid, y[0]),
+                                           SpectralField(grid, y[1]),
+                                           t_stage)), t_stage)
+        _over_slabs(n, _axpy_slab, total, total, weight, k, y)
+    del k, y
+    _over_slabs(n, _axpy_slab, total, y0, dt / 6.0, total, total)
+    u = _dealias_in_place(_leray_in_place(SpectralField(grid, total[0])))
+    h = _dealias_in_place(_leray_in_place(SpectralField(grid, total[1])))
     return MHDState(u, h, state.t + dt)
 
 

@@ -16,23 +16,24 @@ inverse along axes 0 and 1 in a scratch array and a complex-to-real inverse
 along axis 2 written straight into the output, about half the work of a
 complex 3-D inverse.  The derivative multipliers i k_m, which the
 gradient and the curl share, are zero at the wavenumber n/2, whose mode is
-its own conjugate partner, so a derivative stays Hermitian.  The forward transform (`from_physical`) is a complex 3-D
-transform per component.  Every transform works in arrays the caller
-allocated, and `to_physical` and `from_physical` take the components of
-several fields in one call.  On grids with n >= 64 the components are split
-into one contiguous group per CPU in the process's affinity mask; the
-calling thread runs one group and a module-level thread pool, created on
-first use, runs the others.  numpy's transforms release the interpreter
-lock, so the groups run in parallel, and the u and h of a state,
-transformed together, make six components that split evenly over two or
-three CPUs.  The solver's elementwise n^3 passes (the dealias mask, the
-Leray projection, the advection products and the RK4 updates) run on the
-same pool through `_over_slabs`, which splits the first mode axis into one
-slab per CPU.  Smaller grids run everything on the calling thread, as a
-second thread gained little or lost there.  A transform over the component
-axis computes each component with the same arithmetic as a call on that
-component alone, and an elementwise pass computes each entry the same way on
-any slab, so the outputs are bit-identical for any thread count.
+its own conjugate partner, so a derivative stays Hermitian.  The forward
+transform (`from_physical`) is a complex 3-D transform per component.  Every
+transform works in arrays the caller allocated, and `to_physical` and
+`from_physical` take the components of several fields in one call.  On grids
+with n >= 64 the components are split into one contiguous group per CPU in
+the process's affinity mask; the calling thread runs one group and a
+module-level thread pool, created on first use, runs the others.  numpy's
+transforms release the interpreter lock, so the groups run in parallel, and
+the u and h of a state, transformed together, make six components that split
+evenly over two or three CPUs.  The solver's elementwise n^3 passes (the
+dealias mask, the Leray projection, the advection products and the RK4
+updates) run on the same pool through `_over_slabs`, which splits the first
+mode axis into one slab per CPU.  Smaller grids run everything on the
+calling thread, as a second thread gained little or lost there.  A transform
+over the component axis computes each component with the same arithmetic as
+a call on that component alone, and an elementwise pass computes each entry
+the same way on any slab, so the outputs are bit-identical for any thread
+count.
 
 The per-mode tables of the spectral operators (wavevectors, the Leray
 denominator |k|^2 and the dealias mask) are built once per grid size and
@@ -123,18 +124,34 @@ class SpectralField:
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy())
 
+    # The three maxima below go one k1 plane at a time, so they allocate
+    # O(n^2): a checkpoint load takes all three of both fields it reads.
+
     def max_amplitude(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
+        c = self.coeffs
+        return float(np.max([np.max(np.abs(c[:, i]))
+                             for i in range(self.grid.n)]))
 
     def hermitian_defect(self) -> float:
         """max |v_hat(-k) - conj(v_hat(k))| over all modes and components."""
-        return float(np.max(np.abs(_reflect(self.coeffs) - np.conj(self.coeffs))))
+        c, n = self.coeffs, self.grid.n
+        neg = -np.arange(n) % n  # the index of -k along one mode axis
+
+        def plane(i):  # |conj(v_hat(-k)) - v_hat(k)|, the modulus above
+            d = c[:, neg[i]][:, neg[:, None], neg]
+            np.conjugate(d, out=d)
+            return np.max(np.abs(np.subtract(d, c[:, i], out=d)))
+
+        return float(np.max([plane(i) for i in range(n)]))
 
     def divergence_defect(self) -> float:
         """max_k |k . v_hat_k|."""
-        k1, k2, k3 = _tables(self.grid.n).k
-        c = self.coeffs
-        return float(np.max(np.abs(k1 * c[0] + k2 * c[1] + k3 * c[2])))
+        # Not _tables(n).k: built by a checkpoint load, before the first
+        # step, the tables raised an n=64 resume's peak RSS by 10 MB.
+        k, c = self.grid.modes, self.coeffs
+        return float(np.max([
+            np.max(np.abs(k[i] * c[0, i] + k[:, None] * c[1, i] + k * c[2, i]))
+            for i in range(self.grid.n)]))
 
 
 class _Tables:

@@ -6,27 +6,28 @@ collocation samples, norm weights built as full (n, n, n) arrays, and the
 whole-history radius pipeline (cumulative I(t), the Gronwall majorant M(t)
 and the Bernoulli closed form) that RadiusTracker computes one sample at a
 time.  rk4_chain is the one driver here: it steps the package's one-interval
-radius kernel across a sampled history.  The last four functions are
+radius kernel across a sampled history.  The last three functions are
 test-side compositions of package kernels that the package itself never
-calls: the curl tendency of a primitive state, the gradient-coupling term
-that closes the current identity, the brute-force trilinear form, and a run
-loop that transforms every state once per use.
+calls: the vorticity/current tendency of a primitive state as the rows of
+`lab.CURL_TERMS` through `operators.advect`, the brute-force trilinear form,
+and a run loop that transforms every state once per use.
 """
 
 import numpy as np
 
 from gevreymhd import solver
-from gevreymhd.operators import curl, gradient_physical
+from gevreymhd.lab import CURL_TERMS
+from gevreymhd.operators import advect, curl
 from gevreymhd.radius import RadiusModel, RadiusTracker, _rk4_interval
 from gevreymhd.solver import (
     RunResult,
     StepError,
-    _curl_tendency,
+    Tendency,
     _sample_diagnostics,
     cfl_timestep,
     step_rk4,
 )
-from gevreymhd.spectral import _dealias_in_place, from_physical
+from gevreymhd.spectral import SpectralField
 from gevreymhd.triads import (
     extract_band,
     pair_marginal,
@@ -177,31 +178,17 @@ def rk4_chain(times, a_series, b_series, tau0: float) -> np.ndarray:
 
 
 def rhs_curl(state):
-    """Tendency of the vorticity/current pair of a primitive state."""
-    return _curl_tendency(state.u, state.h, curl(state.u), curl(state.h))
+    """Tendency of the vorticity/current pair of a primitive state.
 
-
-def cross_gradient_curl_term(u, h):
-    """The gradient-coupling part of the curl of the induction nonlinearity.
-
-    curl((a.grad)b) = (a.grad)(curl b) + E(a, b) with
-    E(a, b)_i = eps_{ijk} d_j a_l d_l b_k; this returns the spectral,
-    dealiased E(u, h) - E(h, u).
+    The rows of CURL_TERMS summed per target, each product by advect.
     """
-    gu = gradient_physical(u)
-    gh = gradient_physical(h)
-    # gradient_physical[m, c] = d_m of component c, so d_j u_l = gu[j, l]
-    # and d_l h_k = gh[:, k] contracted over the leading axis l.
-    n = u.grid.n
-    e_uh = np.empty((3, n, n, n))
-    e_hu = np.empty((3, n, n, n))
-    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-        e_uh[i] = (np.einsum("lxyz,lxyz->xyz", gu[j], gh[:, k])
-                   - np.einsum("lxyz,lxyz->xyz", gu[k], gh[:, j]))
-        e_hu[i] = (np.einsum("lxyz,lxyz->xyz", gh[j], gu[:, k])
-                   - np.einsum("lxyz,lxyz->xyz", gh[k], gu[:, j]))
-    e_uh -= e_hu
-    return _dealias_in_place(from_physical(u.grid, e_uh))
+    fields = {"u": state.u, "h": state.h,
+              "omega": curl(state.u), "current": curl(state.h)}
+    tend = {"omega": 0.0, "current": 0.0}
+    for a, b, c, sign, _ in CURL_TERMS:
+        tend[c] = tend[c] + sign * advect(fields[a], fields[b]).coeffs
+    return Tendency(*(SpectralField(state.grid, tend[c])
+                      for c in ("omega", "current")))
 
 
 def trilinear_bruteforce(a, b, c, m, r, tau, s, kmax):

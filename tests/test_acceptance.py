@@ -12,7 +12,14 @@ from gevreymhd import lab
 from gevreymhd.cli import main as cli_main
 from gevreymhd.checkpoint import load_checkpoint, save_checkpoint
 from gevreymhd.norms import GevreyParams
-from gevreymhd.operators import MultiplierSpec, advect, curl, inner_l2, lambda_apply
+from gevreymhd.operators import (
+    MultiplierSpec,
+    advect,
+    cross_gradient_curl_term,
+    curl,
+    inner_l2,
+    lambda_apply,
+)
 from gevreymhd.radius import RadiusModel, estimate_C_tilde, radius_lower_bound
 from gevreymhd.solver import (
     cfl_timestep,
@@ -33,7 +40,6 @@ from gevreymhd.spectral import (
 )
 from oracles import (
     bernoulli_tau,
-    cross_gradient_curl_term,
     rhs_curl,
     rk4_chain,
     trilinear_bruteforce,

@@ -122,8 +122,42 @@ def late_checkpoint(path):
     save_checkpoint(path, state, GevreyParams(r=4.5), 0.1)
 
 
+def edited_checkpoint(path, *edits):
+    """small_checkpoint's state with each value added to u at its index."""
+    state = taylor_green_mhd(Grid(16))
+    for index, value in edits:
+        state.u.coeffs[index] += value
+    save_checkpoint(path, state, GevreyParams(r=4.5), 0.1)
+
+
+def nan_payload_checkpoint(path):
+    edited_checkpoint(path, ((0, 1, 1, 1), float("nan")))
+
+
+def unpaired_payload_checkpoint(path):
+    # u_2 at k = (1, 0, 0) keeps u solenoidal; its partner at -k is unchanged.
+    edited_checkpoint(path, ((1, 1, 0, 0), 0.01))
+
+
+def non_solenoidal_payload_checkpoint(path):
+    # u_1 at k = (1, 0, 0) and at its partner -k: Hermitian, not solenoidal.
+    edited_checkpoint(path, ((0, 1, 0, 0), 0.01), ((0, -1, 0, 0), 0.01))
+
+
+BAD_PAYLOADS = [
+    (nan_payload_checkpoint,
+     "checkpoint error: field u has non-finite coefficients"),
+    (unpaired_payload_checkpoint,
+     "checkpoint error: field u has a Hermitian defect of 1.000e-02"),
+    (non_solenoidal_payload_checkpoint,
+     "checkpoint error: field u has a divergence defect of 1.000e-02"),
+]
+
+
 class TestErrorPath:
     @pytest.mark.parametrize("command, make, prefix", [
+        *((command, make, prefix) for command in ("resume", "fit-radius")
+          for make, prefix in BAD_PAYLOADS),
         ("resume", None, "checkpoint error: checkpoint not found"),
         ("resume", truncated_checkpoint, "checkpoint error:"),
         ("resume", wrong_magic_checkpoint, "checkpoint error:"),

@@ -1,7 +1,10 @@
 """The package imports nothing beyond the standard library and its declared
-dependencies (numpy, as pyproject.toml lists)."""
+dependencies (numpy, as pyproject.toml lists), and the CLI starts without
+the verification lab."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,3 +25,14 @@ def test_every_import_is_stdlib_numpy_or_the_package():
     assert ("cli.py", "argparse") in found
     assert ("spectral.py", "concurrent") in found  # a function-local import
     assert sorted((f, m) for f, m in found if m not in allowed) == []
+
+
+def test_cli_start_up_loads_neither_the_lab_nor_the_triads():
+    # Only `verify` needs them, so every other command starts without them.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
+    code = ("import sys, gevreymhd.cli; print(sorted(m for m in sys.modules "
+            "if m in ('gevreymhd.lab', 'gevreymhd.triads')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

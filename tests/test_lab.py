@@ -12,6 +12,7 @@ from gevreymhd.spectral import (
     random_band_field,
     taylor_green_mhd,
 )
+from test_solver import traced_peak_fields
 
 
 def band_state(seed, kmax=4, amplitude=1.0):
@@ -145,27 +146,52 @@ class TestEnergyBalance:
         st = taylor_green_mhd(Grid(16))
         zero = SpectralField.zeros(Grid(16))
         spec = MultiplierSpec(m=1, r=1.0, tau=0.1, s=1.0)
-        _, k2, k3 = lab.balance_terms(curl(st.u), zero, spec)
+        _, k2, k3, k4 = lab.balance_terms(st.u, zero, spec)
         assert k2 == 0.0
         assert k3 == 0.0
+        assert k4 == 0.0
 
     def test_equilibrium_balance(self):
         st = taylor_green_mhd(Grid(16))
         spec = MultiplierSpec(m=2, r=1.0, tau=0.1, s=1.0)
-        omega = curl(st.u)
-        k1, k2, k3 = lab.balance_terms(omega, omega.copy(), spec)
+        k1, k2, k3, k4 = lab.balance_terms(st.u, st.u.copy(), spec)
         scale = max(abs(k1), abs(k2), 1.0)
-        assert abs(k1 + k2 + k3) < 1e-10 * scale
+        assert abs(k1 + k2 + k3 + k4) < 1e-10 * scale
 
     def test_groups_pinned(self):
         # Pinned so that a row of CURL_TERMS with a wrong field, sign or
-        # lemma tag fails here.
+        # lemma tag, or a wrong K4 term, fails here.
         st = random_band(Grid(16), seed=500, kmax=4, amplitude=0.2)
         spec = MultiplierSpec(m=2, r=1.0, tau=0.1, s=1.0)
-        groups = lab.balance_terms(curl(st.u), curl(st.h), spec)
+        groups = lab.balance_terms(st.u, st.h, spec)
         assert groups == pytest.approx(
-            (606470.463590405, -770686.2278223587, 138158.0578014917),
+            (606470.463590405, -770686.2278223587, 138158.0578014917,
+             -1240398.2191459516),
             rel=1e-12)
+
+    def test_balance_needs_k4_on_the_primitive_flow(self, monkeypatch):
+        # Negative control: the CURL_TERMS rows alone do not balance the
+        # flow step_rk4 takes, whose current is the curl of the induction
+        # equation; K4 closes the balance at second order.
+        state = random_band(Grid(16), seed=3, kmax=4, amplitude=0.3)
+        spec = MultiplierSpec(m=2, r=1.5, tau=0.1, s=1.5)
+        dts = (1e-2, 5e-3, 2.5e-3)
+        out = lab.energy_balance_check(state, spec, dts)
+        assert all(o >= 1.9 for o in out["orders"]), out
+        terms = lab.balance_terms
+        monkeypatch.setattr(lab, "balance_terms",
+                            lambda *args: (*terms(*args)[:3], 0.0))
+        out = lab.energy_balance_check(state, spec, dts)
+        assert len(out["orders"]) == 2
+        assert all(o < 1.0 for o in out["orders"]), out
+
+    def test_peak_allocation(self):
+        # Each stepped state is dropped once its curls are taken.
+        state = taylor_green_mhd(Grid(32))
+        spec = MultiplierSpec(m=3, r=1.0, tau=0.1, s=1.0)
+        peak = traced_peak_fields(
+            lambda: lab.energy_balance_check(state, spec, (1e-2,)), 32)
+        assert peak <= 15.15
 
 
 class TestConstantEstimation:

@@ -8,7 +8,7 @@ import pytest
 from gevreymhd.norms import GevreyParams, SubcriticalWarning
 from gevreymhd.operators import (
     advect,
-    biot_savart,
+    cross_gradient_curl_term,
     curl,
     gradient_physical,
     inner_l2,
@@ -22,11 +22,9 @@ from gevreymhd.solver import (
     cross_helicity,
     energy,
     recompute_radius,
-    rhs_curl_pair,
     rhs_primitive,
     run,
     step_rk4,
-    step_rk4_curl,
 )
 from gevreymhd.spectral import (
     Grid,
@@ -40,7 +38,6 @@ from gevreymhd.spectral import (
     to_physical,
 )
 from oracles import (
-    cross_gradient_curl_term,
     cumulative_integral,
     gronwall_majorant,
     reference_run,
@@ -173,47 +170,18 @@ class TestStepping:
                        + np.linalg.norm(to_physical(st.h), axis=0))
         assert cfl_timestep(st, 0.5) == 0.5 * st.grid.spacing / speed
 
-    def test_curl_pair_step_matches_vorticity_of_primitive_short_time(self):
-        # over one small step the two formulations agree on the vorticity to
-        # the local truncation error (their omega equations are identical)
-        st = taylor_green_mhd(Grid(16))
-        omega0, current0 = curl(st.u), curl(st.h)
-        diffs = []
-        for dt in (1e-3, 5e-4):
-            w1, _ = step_rk4_curl(omega0, current0, dt)
-            prim = step_rk4(st, dt)
-            diffs.append(float(np.max(np.abs(w1.coeffs - curl(prim.u).coeffs))))
-        assert diffs[0] < 1e-6
-        # the systems differ only through the current coupling, so the
-        # vorticity gap shrinks at second order in dt
-        assert diffs[1] < 0.3 * diffs[0]
-
     def test_curl_tendencies_equal_term_by_term_advection(self):
         st = random_band(Grid(16), seed=42, kmax=4, amplitude=0.3)
-        omega, current = curl(st.u), curl(st.h)
-        # the pair is perturbed off the curl of (u, h) so that
-        # rhs_curl_pair recovers different transporting fields
-        omega.coeffs *= 1.3
-        cases = (
-            (rhs_curl(st), st.u, st.h, curl(st.u), curl(st.h)),
-            (rhs_curl_pair(omega, current),
-             biot_savart(leray_project(omega)),
-             biot_savart(leray_project(current)), omega, current),
-        )
-        for tend, u, h, w, j in cases:
-            dw = (-advect(u, w).coeffs + advect(h, j).coeffs
-                  + advect(w, u).coeffs - advect(j, h).coeffs)
-            dj = (-advect(u, j).coeffs + advect(h, w).coeffs
-                  + advect(w, h).coeffs - advect(j, u).coeffs)
-            for got, want in ((tend.du.coeffs, dw), (tend.dh.coeffs, dj)):
-                scale = np.max(np.abs(want))
-                assert scale > 0
-                assert np.max(np.abs(got - want)) < 1e-12 * scale
-
-    def test_curl_pair_tendency_vorticity_solenoidal(self):
-        st = taylor_green_mhd(Grid(16))
-        tend = rhs_curl_pair(curl(st.u), curl(st.h))
-        assert tend.du.divergence_defect() < 1e-12
+        tend, u, h = rhs_curl(st), st.u, st.h
+        w, j = curl(u), curl(h)
+        dw = (-advect(u, w).coeffs + advect(h, j).coeffs
+              + advect(w, u).coeffs - advect(j, h).coeffs)
+        dj = (-advect(u, j).coeffs + advect(h, w).coeffs
+              + advect(w, h).coeffs - advect(j, u).coeffs)
+        for got, want in ((tend.du.coeffs, dw), (tend.dh.coeffs, dj)):
+            scale = np.max(np.abs(want))
+            assert scale > 0
+            assert np.max(np.abs(got - want)) < 1e-12 * scale
 
 
 def full_spectrum_state(n, seed):
@@ -247,9 +215,7 @@ class TestInPlaceContract:
         rhs_primitive,
         lambda st: leray_project(st.u),
         lambda st: dealias(st.h),
-        lambda st: step_rk4_curl(st.u, st.h, 0.01),
-    ], ids=["step_rk4", "rhs_primitive", "leray_project", "dealias",
-            "step_rk4_curl"])
+    ], ids=["step_rk4", "rhs_primitive", "leray_project", "dealias"])
     def test_inputs_keep_their_bytes(self, call):
         st = full_spectrum_state(16, seed=61)
         before = [st.u.coeffs.copy(), st.h.coeffs.copy()]
@@ -300,26 +266,6 @@ class TestInPlaceContract:
             out = step_rk4(st, dt)
             for got, ref in zip((out.u.coeffs, out.h.coeffs), y1):
                 assert np.array_equal(as_bytes(got), as_bytes(ref)), cpus
-
-    def test_pooled_curl_step_is_bytewise_the_textbook_rk4(self, monkeypatch):
-        st = taylor_green_mhd(Grid(64))
-        grid, dt = st.grid, 0.01
-
-        def f(y):
-            tend = rhs_curl_pair(*(SpectralField(grid, c) for c in y))
-            return [tend.du.coeffs, tend.dh.coeffs]
-
-        omega, current = curl(st.u), curl(st.h)
-        y1 = [dealias(SpectralField(grid, c)).coeffs
-              for c in self.textbook_rk4(f, (omega.coeffs, current.coeffs),
-                                         dt)]
-        for cpus in self.CPUS:
-            force_cpus(monkeypatch, cpus)
-            out = step_rk4_curl(omega, current, dt)
-            for got, ref in zip(out, y1):
-                assert np.array_equal(as_bytes(got.coeffs), as_bytes(ref)), \
-                    cpus
-
 
 def traced_peak_fields(call, n: int) -> float:
     """Peak traced allocation of call(), in (3, n, n, n) complex fields."""
