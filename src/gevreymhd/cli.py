@@ -23,8 +23,8 @@ from .norms import (
     shell_spectrum,
 )
 from .operators import MultiplierSpec, curl
-from .radius import RadiusModel, estimate_C_tilde
-from .solver import recompute_radius, run
+from .radius import RadiusModel, RadiusTracker, estimate_C_tilde
+from .solver import run
 from .spectral import (Grid, init_state, random_band, random_band_field,
                        taylor_green_mhd)
 
@@ -66,38 +66,44 @@ def _execute_run(config, config_path: str, state, tau0: float) -> int:
         else:
             show(message, category, *args, **kwargs)
 
-    fit_requested = config.c == "fit"
-    model = RadiusModel(C=1.0 if fit_requested else float(config.c), tau0=tau0)
+    out = Path(os.environ.get("GEVREYMHD_OUTPUT_DIR", "") or config.directory)
+    try:  # before the run, so a bad path does not cost the run
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {out}: {exc}") from exc
     with warnings.catch_warnings():
         warnings.showwarning = show_warning
         result = run(
             state, params=config.params, t_end=config.t_end, dt=config.dt,
-            cfl=config.cfl, cadence=config.cadence, model=model,
+            cfl=config.cfl, cadence=config.cadence,
         )
-    records = result.records
-    if fit_requested:
+    records, c = result.records, config.c
+    if c == "fit":
         try:
             c_tilde = estimate_C_tilde([rec.norms.hr for rec in records],
                                        [rec.grad_integral for rec in records])
         except ValueError as exc:  # too few samples or an unbounded constant
             print(f"warning: {config_path}: c = fit skipped ({exc}); "
                   "tau uses C = 1", file=sys.stderr)
+            c = 1.0
         else:
-            c_fit = max(2.0 * c_tilde, 1e-6)
-            fitted = RadiusModel(C=c_fit, tau0=tau0)
-            records = recompute_radius(records, fitted)
-            print(f"fitted constants: C_tilde={c_tilde:.6g} C={c_fit:.6g}")
+            c = max(2.0 * c_tilde, 1e-6)
+            print(f"fitted constants: C_tilde={c_tilde:.6g} C={c:.6g}")
+    tracker = RadiusTracker(RadiusModel(C=c, tau0=tau0))
+    records = [tracker.track(rec) for rec in records]
+    status = result.status
+    if status == "completed" and tracker.collapsed:
+        status = "radius-collapse"
 
-    out = Path(os.environ.get("GEVREYMHD_OUTPUT_DIR", "") or config.directory)
-    out.mkdir(parents=True, exist_ok=True)
     _write_series(out / config.series, records)
     if config.spectra:
         _write_spectrum(out / f"{config.spectra}_final.csv", result.state)
     if config.checkpoint:
         save_checkpoint(out / config.checkpoint, result.state,
                         config.params, records[-1].tau)
-    print(f"status: {result.status}; wrote {out / config.series}")
-    return 0 if result.status == "completed" else 2
+    print(f"status: {status}; wrote {out / config.series}")
+    return 0 if status == "completed" else 2
 
 
 def cmd_run(args) -> int:

@@ -7,7 +7,7 @@ import configparser
 import math
 from pathlib import Path
 
-from .norms import GevreyParams
+from .norms import GevreyParams, weights_overflow
 from .spectral import INITIAL_CONDITIONS
 
 
@@ -91,6 +91,11 @@ class RunConfig:
         if errors:
             raise ConfigError("; ".join(errors))
         self.params = GevreyParams(r=self.r, s=self.s, tau=self.tau0)
+        if weights_overflow(self.n, self.params):
+            raise ConfigError(
+                f"grid.n = {self.n}, gevrey.r = {self.r}, gevrey.s = "
+                f"{self.s} and gevrey.tau0 = {self.tau0} give a norm weight "
+                "that overflows float64")
 
     def initial_params(self) -> dict:
         """Keyword arguments of `spectral.init_state` for this kind."""

@@ -6,6 +6,7 @@ returns the square root of the corresponding (2pi)^3-weighted coefficient sum.
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -102,6 +103,22 @@ def _sobolev_weight(n: int, r: float) -> np.ndarray:
     weight = (1.0 + (k1 * k1 + k2 * k2 + k3 * k3).astype(np.float64)) ** r
     weight.flags.writeable = False
     return weight
+
+
+def weights_overflow(n: int, params: GevreyParams) -> bool:
+    """Whether the largest norm weight on an n-grid overflows float64.
+
+    That is the Sobolev weight (1 + 3 (n/2)^2)^r at the grid's corner mode,
+    or the squared directional weight of Y, ((n/2)^(r + 1/(2s))
+    exp(tau (n/2)^(1/s)))^2, at |k_m| = n/2.  Either one infinite makes
+    every norm record non-finite, as inf times a zero power is NaN.  Both
+    are compared in log form, so nothing is allocated.
+    """
+    half = n / 2
+    sobolev = params.r * math.log1p(3.0 * half * half)
+    directional = 2.0 * ((params.r + 0.5 / params.s) * math.log(half)
+                         + params.tau * half ** (1.0 / params.s))
+    return max(sobolev, directional) > math.log(sys.float_info.max)
 
 
 def _sobolev_sq(power: np.ndarray, r: float) -> float:
@@ -210,7 +227,7 @@ def shell_spectrum(amp: np.ndarray) -> tuple:
     absk1 = np.abs(Grid(amp.shape[0]).wavevectors()[0])
     # Float values: ufunc.at takes its fast path only without a cast.
     return (_per_shell(np.maximum, np.where(amp > 0, absk1, 0.0)),
-            _per_shell(np.maximum, amp),
+            shell_maxima(amp),
             np.sqrt(_per_shell(np.add, amp**2)))
 
 

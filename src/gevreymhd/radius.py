@@ -2,8 +2,8 @@
 
 The radius obeys tau' = -(a tau + b tau^2) with a = C * (sup-norm of the two
 gradients) and b = C * (Sobolev norm of the vorticity/current pair plus the
-Gronwall majorant M(t)).  RadiusTracker is the one place that computes the
-gradient integral I(t), M(t) and tau.
+Gronwall majorant M(t)).  RadiusTracker is the one place that computes M(t)
+and tau, from records to which `solver.run` gave the gradient integral I(t).
 """
 
 from dataclasses import dataclass, replace
@@ -116,12 +116,12 @@ def radius_lower_bound(t: float, model: RadiusModel, integral: float) -> float:
 class RadiusTracker:
     """The radius pipeline fed one diagnostics record at a time.
 
-    Carries I(t), the inner Gronwall integral, the ODE coefficients and tau
-    at the latest sample.  I(t) and the inner integral are trapezoidal sums
-    at the sampling cadence, and M(t) = G(t) [x0 + C (1 + tau0) inner(t)]
-    with G = exp(C I(t)) and inner(t) = int_0^t hr^2 / G.  Each record costs
-    the same whatever the history length.  After a RadiusCollapse, tau stays
-    at 1e-300 and `collapsed` is set.
+    Carries the inner Gronwall integral, the ODE coefficients and tau at the
+    latest sample.  inner(t) = int_0^t hr^2 / G is a trapezoidal sum at the
+    sampling cadence, G = exp(C I(t)) with I(t) the record's grad_integral,
+    and M(t) = G(t) [x0 + C (1 + tau0) inner(t)].  Each record costs the
+    same whatever the history length.  After a RadiusCollapse, tau stays at
+    1e-300 and `collapsed` is set.
     """
 
     def __init__(self, model: RadiusModel):
@@ -130,10 +130,11 @@ class RadiusTracker:
         self.collapsed = False
 
     def track(self, rec):
-        """The record with tau, tau_lower and grad_integral filled in.
+        """The record with tau and tau_lower filled in.
 
         The first record starts the chain: it sets C0 and C1 from its norms,
-        and there I = 0 and tau = tau_lower = tau0.
+        and there tau = tau_lower = tau0.  Each later record's grad_integral
+        is I(t) from the first record's time, as `solver.run` fills it.
         """
         model, t, grad_sum, hr = self.model, rec.t, rec.grad_sum, rec.norms.hr
         C = model.C
@@ -141,19 +142,16 @@ class RadiusTracker:
             self.x0 = x0 = rec.norms.x_norm
             model.populate_from_initial(hr, x0)
             self.t0 = self.t = t
-            self.integral = self.inner = 0.0
-            self.grad_sum, self.weight = grad_sum, hr * hr
+            self.inner, self.weight = 0.0, hr * hr
             # At t0, G = 1 and the majorant is x0.
             self.a, self.b = C * grad_sum, C * (hr + x0)
             self.tau = model.tau0
-            return replace(rec, tau=model.tau0, tau_lower=model.tau0,
-                           grad_integral=0.0)
-        span = t - self.t
-        self.integral += 0.5 * (grad_sum + self.grad_sum) * span
+            return replace(rec, tau=model.tau0, tau_lower=model.tau0)
+        span, integral = t - self.t, rec.grad_integral
         # G and the majorant may overflow to inf; _rk4_interval then reports
         # a collapse.
         with np.errstate(over="ignore", invalid="ignore"):
-            G = np.exp(C * self.integral)
+            G = np.exp(C * integral)
             weight = hr * hr / G
             self.inner += 0.5 * (weight + self.weight) * span
             majorant = G * (self.x0 + C * (1.0 + model.tau0) * self.inner)
@@ -164,11 +162,10 @@ class RadiusTracker:
                                                self.b, b))
             except RadiusCollapse:
                 self.tau, self.collapsed = 1e-300, True
-        self.t, self.grad_sum, self.weight = t, grad_sum, weight
+        self.t, self.weight = t, weight
         self.a, self.b = a, b
-        return replace(rec, tau=self.tau, grad_integral=self.integral,
-                       tau_lower=radius_lower_bound(t - self.t0, model,
-                                                    self.integral))
+        return replace(rec, tau=self.tau, tau_lower=radius_lower_bound(
+            t - self.t0, model, integral))
 
 
 def estimate_C_tilde(hr_series, grad_integral) -> float:

@@ -4,9 +4,11 @@ The primitive pair (u, h) is evolved with classical RK4, `step_rk4`, the
 package's one time stepper; the nonlinear terms are evaluated
 pseudo-spectrally, Leray-projected and dealiased every stage.  The lab checks
 the weighted vorticity/current balance on states this stepper produces.  The
-run loop feeds the analyticity-radius tracker; a state it samples or takes a
-CFL step from is transformed once, by the first RK4 stage of the step that
-follows, which also reduces the CFL speed and the gradient sup-norms.
+run loop steps and samples; its records carry the gradient integral I(t) but
+no radius, which `radius.RadiusTracker` fills in afterwards.  A state the
+loop samples or takes a CFL step from is transformed once, by the first RK4
+stage of the step that follows, which also reduces the CFL speed and the
+gradient sup-norms.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,6 @@ from .norms import (
     sup_gradient,
 )
 from .operators import curl, gradient_physical, inner_l2
-from .radius import RadiusModel, RadiusTracker
 from .spectral import (
     MHDState,
     SpectralField,
@@ -69,16 +70,16 @@ class DiagnosticsRecord:
     grad_sum: float
     norms: NormRecord
     tau_fit: float
-    tau: float = float("nan")  # this and below: set by RadiusTracker.track
+    grad_integral: float = 0.0  # I(t), the time integral of grad_sum; by run
+    tau: float = float("nan")  # this and tau_lower: by RadiusTracker.track
     tau_lower: float = float("nan")
-    grad_integral: float = 0.0  # I(t), the time integral of grad_sum
 
 
 @dataclass
 class RunResult:
     records: list
     state: MHDState
-    status: str  # "completed" | "blow-up" | "radius-collapse" | "non-finite"
+    status: str  # "completed" | "blow-up" | "non-finite"
 
 
 _ADVECTION = "mxyz,mcxyz->cxyz"  # (a.grad)b from a and the gradient of b
@@ -279,35 +280,23 @@ def _sample_diagnostics(state: MHDState, params: GevreyParams,
     )
 
 
-def recompute_radius(records: list, model: RadiusModel) -> list:
-    """Re-run the radius tracking over recorded diagnostics with new constants.
-
-    Returns records with tau, tau_lower and grad_integral replaced; the PDE
-    diagnostics are untouched.  Useful after fitting the constants from a
-    completed run.
-    """
-    tracker = RadiusTracker(model)
-    return [tracker.track(rec) for rec in records]
-
-
 def run(state: MHDState, *, params: GevreyParams, t_end: float,
         dt: float | None = None, cfl: float | None = None,
-        cadence: int = 1, model: RadiusModel | None = None) -> RunResult:
+        cadence: int = 1) -> RunResult:
     """Step until t_end, sampling diagnostics every `cadence` steps.
 
-    Every sample record, the initial one first, goes through the radius
-    tracker.  The run aborts with status "blow-up" when bkm_integrand
-    grows by more than BLOWUP_FACTOR from its initial value, with status
-    "radius-collapse" when tau collapses, and with status "non-finite" when
-    a step produces non-finite values; the state returned is then the one
-    before that step, and the last record samples it.
+    Every sample record, the initial one first, carries I(t), the trapezoidal
+    integral of grad_sum over the records so far; tau and tau_lower are left
+    for `radius.RadiusTracker`.  The run aborts with status "blow-up" when
+    bkm_integrand grows by more than BLOWUP_FACTOR from its initial value,
+    and with status "non-finite" when a step produces non-finite values; the
+    state returned is then the one before that step, and the last record
+    samples it.
     """
     if (dt is None) == (cfl is None):
         raise ValueError("exactly one of dt and cfl must be given")
     params.warn_if_subcritical()
-    if model is None:
-        model = RadiusModel(tau0=params.tau if params.tau > 0 else 1.0)
-    tracker, records = RadiusTracker(model), []
+    records = []
     # One stop time for the loop and the final off-cadence sample, so a
     # completed run's last record always describes the returned state.
     t_stop = t_end - 1e-12 * max(t_end, 1.0)
@@ -321,9 +310,13 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
         return rhs_primitive(state, maxima=True) if state.t < t_stop else None
 
     def sample(state: MHDState, k1: Tendency | None = None) -> None:
-        maxima = None if k1 is None else k1.maxima
-        records.append(tracker.track(_sample_diagnostics(state, params,
-                                                         maxima)))
+        rec = _sample_diagnostics(state, params,
+                                  None if k1 is None else k1.maxima)
+        if records:
+            last = records[-1]
+            rec.grad_integral = (last.grad_integral + 0.5 * (
+                rec.grad_sum + last.grad_sum) * (rec.t - last.t))
+        records.append(rec)
 
     k1 = first_stage(state)
     sample(state, k1)
@@ -353,9 +346,6 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
 
         k1 = first_stage(state)
         sample(state, k1)
-        if tracker.collapsed:
-            status = "radius-collapse"
-            break
         if records[-1].bkm_integrand > BLOWUP_FACTOR * bkm0:
             status = "blow-up"
             break

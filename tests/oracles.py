@@ -4,13 +4,14 @@ Most of this deliberately avoids the package's FFT/vectorized code paths:
 plain python loops over explicit mode dictionaries, quadrature sums over
 collocation samples, norm weights built as full (n, n, n) arrays, and the
 whole-history radius pipeline (cumulative I(t), the Gronwall majorant M(t)
-and the Bernoulli closed form) that RadiusTracker computes one sample at a
-time.  rk4_chain is the one driver here: it steps the package's one-interval
-radius kernel across a sampled history.  The last three functions are
-test-side compositions of package kernels that the package itself never
-calls: the vorticity/current tendency of a primitive state as the rows of
-`lab.CURL_TERMS` through `operators.advect`, the brute-force trilinear form,
-and a run loop that transforms every state once per use.
+and the Bernoulli closed form) that `solver.run` and RadiusTracker compute
+one sample at a time.  rk4_chain is the one driver here: it steps the
+package's one-interval radius kernel across a sampled history.  The last
+three functions are test-side compositions of package kernels that the
+package itself never calls: the vorticity/current tendency of a primitive
+state as the rows of `lab.CURL_TERMS` through `operators.advect`, the
+brute-force trilinear form, and a run loop that transforms every state once
+per use.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from gevreymhd import solver
 from gevreymhd.lab import CURL_TERMS
 from gevreymhd.operators import advect, curl
-from gevreymhd.radius import RadiusModel, RadiusTracker, _rk4_interval
+from gevreymhd.radius import _rk4_interval
 from gevreymhd.solver import (
     RunResult,
     StepError,
@@ -200,21 +201,19 @@ def trilinear_bruteforce(a, b, c, m, r, tau, s, kmax):
     return weighted_sum(P, weight_tables(kmax, r, tau, s)["full"])
 
 
-def reference_run(state, *, params, t_end, dt=None, cfl=None, cadence=1,
-                  model=None):
+def reference_run(state, *, params, t_end, dt=None, cfl=None, cadence=1):
     """solver.run from its public pieces, each transforming its own state.
 
     The CFL step, the sample and every RK4 stage evaluate their state
     separately, so a state that is sampled and stepped from is transformed
-    three times; the records, the status and the returned state are what
-    `run` must give bit for bit.
+    three times, and I(t) is the whole-history cumulative_integral; the
+    records, the status and the returned state are what `run` must give bit
+    for bit.
     """
-    if model is None:
-        model = RadiusModel(tau0=params.tau if params.tau > 0 else 1.0)
-    tracker, records = RadiusTracker(model), []
+    records = []
 
     def sample(state):
-        records.append(tracker.track(_sample_diagnostics(state, params)))
+        records.append(_sample_diagnostics(state, params))
 
     sample(state)
     bkm0 = max(records[0].bkm_integrand, 1e-300)
@@ -231,12 +230,13 @@ def reference_run(state, *, params, t_end, dt=None, cfl=None, cadence=1,
         if steps_done % cadence != 0 and state.t < t_stop:
             continue
         sample(state)
-        if tracker.collapsed:
-            status = "radius-collapse"
-            break
         if records[-1].bkm_integrand > solver.BLOWUP_FACTOR * bkm0:
             status = "blow-up"
             break
     if status == "non-finite" and records[-1].t != state.t:
         sample(state)
+    integral = cumulative_integral([rec.t for rec in records],
+                                   [rec.grad_sum for rec in records])
+    for rec, value in zip(records, integral):
+        rec.grad_integral = float(value)
     return RunResult(records, state, status)

@@ -20,7 +20,12 @@ from gevreymhd.operators import (
     inner_l2,
     lambda_apply,
 )
-from gevreymhd.radius import RadiusModel, estimate_C_tilde, radius_lower_bound
+from gevreymhd.radius import (
+    RadiusModel,
+    RadiusTracker,
+    estimate_C_tilde,
+    radius_lower_bound,
+)
 from gevreymhd.solver import (
     cfl_timestep,
     cross_helicity,
@@ -317,11 +322,13 @@ class TestRadiusMachinery:
             res = run(st, params=smooth_params(tau=0.2), t_end=0.5, dt=0.01,
                       cadence=5)
         assert res.status == "completed"
-        taus = [rec.tau for rec in res.records]
+        tracker = RadiusTracker(RadiusModel(C=1.0, tau0=0.2))
+        records = [tracker.track(rec) for rec in res.records]
+        taus = [rec.tau for rec in records]
         assert all(b < a for a, b in zip(taus, taus[1:]))
-        for rec in res.records:
+        for rec in records:
             assert rec.tau >= rec.tau_lower * (1.0 - 1e-9), rec.t
-        fits = [rec.tau_fit for rec in res.records]
+        fits = [rec.tau_fit for rec in records]
         assert all(np.isfinite(f) for f in fits)
         for a, b in zip(fits, fits[1:]):
             assert b <= a * 1.02, fits

@@ -217,6 +217,15 @@ def test_skipped_radius_fit_is_reported(tmp_path):
     ("r = 4.5", "r = 4.5\ns = 0.5", "gevrey.s must be >= 1"),
     ("r = 4.5", "r = nan", "gevrey.r must be finite"),
     ("t_end = 0.05", "t_end = nan", "time.t_end must be finite"),
+    # A norm weight that overflows float64 made the first sample's hr NaN
+    # (r = 200) or its X and Y infinite (tau0 = 50), or made the directional
+    # weight raise MultiplierError (tau0 = 100): each ended in a traceback.
+    ("r = 4.5", "r = 200", "grid.n = 16, gevrey.r = 200.0, gevrey.s = 1.0 "
+     "and gevrey.tau0 = 0.1 give a norm weight that overflows float64"),
+    ("tau0 = 0.1", "tau0 = 50", "grid.n = 16, gevrey.r = 4.5, gevrey.s = "
+     "1.0 and gevrey.tau0 = 50.0 give a norm weight"),
+    ("tau0 = 0.1", "tau0 = 100", "grid.n = 16, gevrey.r = 4.5, gevrey.s = "
+     "1.0 and gevrey.tau0 = 100.0 give a norm weight"),
 ])
 def test_run_rejects_values_the_solver_cannot_use(tmp_path, old, new, prefix):
     assert old in CFG
@@ -227,6 +236,67 @@ def test_run_rejects_values_the_solver_cannot_use(tmp_path, old, new, prefix):
     lines = out.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"config error: {prefix}")
+
+
+def test_large_norm_weight_that_fits_still_runs(tmp_path):
+    (tmp_path / "run.cfg").write_text(
+        CFG.replace("n = 16", "n = 8").replace("r = 4.5", "r = 120"))
+    out = run_cli(tmp_path, "run", "run.cfg")
+    assert out.returncode == 0, out.stderr
+    assert "status: completed" in out.stdout
+
+
+def test_unusable_output_directory_is_reported_before_the_run(tmp_path):
+    # The directory was made after the run, which then died with a
+    # NotADirectoryError traceback.
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "run.cfg").write_text(
+        CFG.replace("directory = out", "directory = afile/sub"))
+    out = run_cli(tmp_path, "run", "run.cfg")
+    assert out.returncode == 1
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "config error: cannot create output directory afile/sub: ")
+    assert out.stdout == ""
+
+
+def series_rows(path) -> list:
+    lines = path.read_text().splitlines()
+    keys = lines[0].split(",")
+    return [dict(zip(keys, map(float, line.split(",")))) for line in lines[1:]]
+
+
+def test_fitted_constant_is_the_one_that_tracks_tau(tmp_path):
+    # The C = 1 placeholder collapsed at the first step, which ended the run
+    # with 2 rows, too few to fit the constant the series was to be written
+    # with.  The run now reaches t_end and is tracked once, with the fit.
+    (tmp_path / "run.cfg").write_text(
+        CFG.replace("n = 16", "n = 8").replace("t_end = 0.05", "t_end = 0.3")
+        .replace("cadence = 5", "cadence = 1").replace("r = 4.5", "r = 20")
+        .replace("tau0 = 0.1", "tau0 = 0.5") + "[radius]\nc = fit\n")
+    out = run_cli(tmp_path, "run", "run.cfg")
+    rows = series_rows(tmp_path / "out" / "series.csv")
+    assert len(rows) == 31 and rows[-1]["t"] == pytest.approx(0.3)
+    assert "fitted constants: C_tilde=" in out.stdout
+    collapsed = any(row["tau"] == 1e-300 for row in rows)
+    assert ("status: radius-collapse" in out.stdout) == collapsed
+    assert out.returncode == (2 if collapsed else 0)
+
+
+def test_radius_collapse_is_reported_at_t_end(tmp_path):
+    # exp(C I(t)) overflows with C = 3e4; numpy's overflow warnings once
+    # reached the user, and the collapse ended the run early.
+    (tmp_path / "run.cfg").write_text(
+        CFG.replace("t_end = 0.05", "t_end = 0.5")
+        .replace("cadence = 5", "cadence = 2") + "[radius]\nc = 3e4\n")
+    out = run_cli(tmp_path, "run", "run.cfg")
+    assert out.returncode == 2
+    assert "status: radius-collapse" in out.stdout
+    assert "RuntimeWarning" not in out.stderr
+    rows = series_rows(tmp_path / "out" / "series.csv")
+    assert len(rows) == 26 and rows[-1]["t"] == pytest.approx(0.5)
+    assert rows[-1]["tau"] == 1e-300
 
 
 @pytest.mark.parametrize("argv", [

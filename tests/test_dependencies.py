@@ -1,6 +1,6 @@
 """The package imports nothing beyond the standard library and its declared
-dependencies (numpy, as pyproject.toml lists), and the CLI starts without
-the verification lab."""
+dependencies (numpy, as pyproject.toml lists), the CLI starts without the
+verification lab, and the solver loads without the radius tracker."""
 
 import ast
 import os
@@ -36,3 +36,15 @@ def test_cli_start_up_loads_neither_the_lab_nor_the_triads():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_solver_loads_no_radius_module():
+    # `run` only steps and samples, so the radius constants cannot reach
+    # the physics path.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
+    code = ("import sys, gevreymhd.solver; "
+            "print('gevreymhd.radius' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -12,8 +12,15 @@ from gevreymhd.norms import (
     shell_spectrum,
     state_norms,
     sup_gradient,
+    weights_overflow,
 )
-from gevreymhd.operators import MultiplierError, curl, gradient_physical
+from gevreymhd.operators import (
+    MultiplierError,
+    MultiplierSpec,
+    _axis_weights,
+    curl,
+    gradient_physical,
+)
 from gevreymhd.spectral import (
     Grid,
     SpectralField,
@@ -122,6 +129,31 @@ class TestNorms:
     def test_norm_record_rejects_nan(self):
         with pytest.raises(ValueError):
             NormRecord(np.nan, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
+
+
+class TestWeightOverflow:
+    """weights_overflow, from scalars, agrees with the weight arrays."""
+
+    @pytest.mark.parametrize("n, r, tau, s", [
+        (8, 120.0, 0.1, 1.0), (8, 182.37, 0.1, 1.0), (8, 182.39, 0.1, 1.0),
+        (8, 4.5, 86.98, 1.0), (8, 4.5, 87.0, 1.0), (8, 4.5, 200.0, 1.0),
+        (16, 134.86, 0.1, 1.0), (16, 134.88, 0.1, 1.0),
+        (16, 4.5, 86.2, 1.5), (16, 4.5, 86.3, 1.5),
+    ])
+    def test_agrees_with_the_weight_arrays(self, n, r, tau, s):
+        grid = Grid(n)
+        try:
+            y_weight = _axis_weights(
+                grid, MultiplierSpec(m=1, r=r + 0.5 / s, tau=tau, s=s))
+        except MultiplierError:  # the weight itself overflows
+            finite = False
+        else:
+            with np.errstate(over="ignore"):
+                sobolev = (1.0 + sum(k * k for k in grid.wavevectors())) ** r
+                finite = (np.isfinite(sobolev).all()
+                          and np.isfinite(y_weight**2).all())
+        params = GevreyParams(r=r, s=s, tau=tau)
+        assert weights_overflow(n, params) == (not finite)
 
 
 class TestNormsMatchFullArrayFormulas:

@@ -14,14 +14,13 @@ from gevreymhd.operators import (
     inner_l2,
 )
 from gevreymhd import norms, solver, spectral
-from gevreymhd.radius import RadiusModel, radius_lower_bound
+from gevreymhd.radius import RadiusModel, RadiusTracker, radius_lower_bound
 from gevreymhd.solver import (
     StepError,
     _sample_diagnostics,
     cfl_timestep,
     cross_helicity,
     energy,
-    recompute_radius,
     rhs_primitive,
     run,
     step_rk4,
@@ -307,9 +306,15 @@ class TestMemory:
 
         def call():
             run(st, params=GevreyParams(r=4.5, tau=0.1), t_end=0.01,
-                dt=0.005, cadence=2, model=RadiusModel(C=1.0, tau0=0.1))
+                dt=0.005, cadence=2)
 
         assert traced_peak_fields(call, 64) <= 10.3
+
+
+def tracked(records, model) -> list:
+    """The records with tau and tau_lower from one RadiusTracker pass."""
+    tracker = RadiusTracker(model)
+    return [tracker.track(rec) for rec in records]
 
 
 def record_bytes(rec) -> bytes:
@@ -342,16 +347,11 @@ class TestSharedFirstStage:
         (lambda: taylor_green_mhd(Grid(16)),
          dict(dt=0.01, cadence=3, t_end=0.07), "completed"),
         (lambda: random_band(Grid(16), seed=0, kmax=2, amplitude=1e3),
-         dict(dt=0.1, cadence=5, t_end=1.0,
-              model=RadiusModel(C=1e-30, tau0=0.1)), "non-finite"),
-        (lambda: taylor_green_mhd(Grid(16)),
-         dict(dt=0.01, cadence=2, t_end=0.5,
-              model=RadiusModel(C=3e4, tau0=0.1)), "radius-collapse"),
+         dict(dt=0.1, cadence=5, t_end=1.0), "non-finite"),
     ], ids=["cfl-cadence-1", "cfl-cadence-3", "dt-off-cadence-end",
-            "non-finite", "radius-collapse"])
+            "non-finite"])
     def test_run_is_bitwise_the_reference_loop(self, make, kwargs, status):
         kwargs = dict(params=GevreyParams(r=4.5, tau=0.1), **kwargs)
-        kwargs.setdefault("model", RadiusModel(C=1.0, tau0=0.1))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             got, ref = run(make(), **kwargs), reference_run(make(), **kwargs)
@@ -383,7 +383,7 @@ class TestSharedFirstStage:
         t_end = 170 * cfl_timestep(st, 0.05)
         count[0] = 0
         res = run(st, params=GevreyParams(r=4.5, tau=0.1), t_end=t_end,
-                  cfl=0.05, cadence=1, model=RadiusModel(C=1.0, tau0=0.1))
+                  cfl=0.05, cadence=1)
         steps = len(res.records) - 1
         assert res.status == "completed" and steps == 170
         assert count[0] == 120 * steps + 18 == 20418
@@ -398,8 +398,7 @@ class TestSharedFirstStage:
         monkeypatch.setattr(solver, "step_rk4",
                             counted_calls(solver.step_rk4, steps))
         res = run(rb16_state(), params=GevreyParams(r=4.5, tau=0.1),
-                  t_end=0.1, cfl=0.05, cadence=3,
-                  model=RadiusModel(C=1.0, tau0=0.1))
+                  t_end=0.1, cfl=0.05, cadence=3)
         assert res.status == "completed"
         assert steps[0] > len(res.records) >= 3
         assert calls[0] == 2 * len(res.records)
@@ -443,9 +442,10 @@ class TestRunLoop:
     def test_tau_decreases_and_dominates_lower_bound(self):
         st = taylor_green_mhd(Grid(16))
         res = run(st, params=smooth_params(), t_end=0.1, dt=0.01, cadence=2)
-        taus = [rec.tau for rec in res.records]
+        records = tracked(res.records, RadiusModel(C=1.0, tau0=0.1))
+        taus = [rec.tau for rec in records]
         assert all(b < a for a, b in zip(taus, taus[1:]))
-        for rec in res.records:
+        for rec in records:
             assert rec.tau >= rec.tau_lower * (1.0 - 1e-9)
 
     def test_blowup_heuristic_triggers(self, monkeypatch):
@@ -457,21 +457,23 @@ class TestRunLoop:
         assert res.status == "blow-up"
         assert len(res.records) == 2
 
-    def test_recompute_radius_preserves_physics_columns(self):
+    def test_retracking_preserves_physics_columns(self):
         st = taylor_green_mhd(Grid(16))
         res = run(st, params=smooth_params(), t_end=0.1, dt=0.01, cadence=5)
-        redone = recompute_radius(res.records, RadiusModel(C=0.5, tau0=0.1))
+        first = tracked(res.records, RadiusModel(C=1.0, tau0=0.1))
+        redone = tracked(first, RadiusModel(C=0.5, tau0=0.1))
         assert [r.t for r in redone] == [r.t for r in res.records]
         assert [r.energy for r in redone] == [r.energy for r in res.records]
+        assert ([r.grad_integral for r in redone]
+                == [r.grad_integral for r in res.records])
         # weaker constants -> slower decay
-        assert redone[-1].tau > res.records[-1].tau
+        assert redone[-1].tau > first[-1].tau
 
     def test_tracker_equals_whole_history_pipeline(self):
         st = taylor_green_mhd(Grid(16))
-        res = run(st, params=smooth_params(), t_end=0.1, dt=0.01, cadence=1,
-                  model=RadiusModel(C=1.0, tau0=0.1))
-        redone = recompute_radius(res.records, RadiusModel(C=0.5, tau0=0.1))
-        for records, C in ((res.records, 1.0), (redone, 0.5)):
+        res = run(st, params=smooth_params(), t_end=0.1, dt=0.01, cadence=1)
+        for C in (1.0, 0.5):
+            records = tracked(res.records, RadiusModel(C=C, tau0=0.1))
             model = RadiusModel(C=C, tau0=0.1)
             first = records[0].norms
             model.populate_from_initial(first.hr, first.x_norm)
@@ -504,7 +506,7 @@ class TestRunLoop:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             res = run(st, params=GevreyParams(r=4.5, tau=0.1), t_end=1.0,
-                      dt=0.1, cadence=5, model=RadiusModel(C=1e-30, tau0=0.1))
+                      dt=0.1, cadence=5)
         assert res.status == "non-finite"
         # the step to t=0.2 fails; t=0.1 is off cadence but sampled, so the
         # last record and the returned state agree
@@ -523,9 +525,10 @@ class TestRunLoop:
         # exp(C I(t)) overflows, which turned tau into NaN without a collapse
         # and numpy's overflow warnings reached the user ahead of the status
         st = taylor_green_mhd(Grid(16))
+        res = run(st, params=smooth_params(), t_end=0.5, dt=0.01, cadence=2)
+        tracker = RadiusTracker(RadiusModel(C=3e4, tau0=0.1))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            res = run(st, params=smooth_params(), t_end=0.5, dt=0.01,
-                      cadence=2, model=RadiusModel(C=3e4, tau0=0.1))
-        assert res.status == "radius-collapse"
-        assert not any(np.isnan(rec.tau) for rec in res.records)
+            records = [tracker.track(rec) for rec in res.records]
+        assert res.status == "completed" and tracker.collapsed
+        assert not any(np.isnan(rec.tau) for rec in records)
