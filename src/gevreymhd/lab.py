@@ -15,16 +15,18 @@ from .norms import GevreyParams, field_norms, state_norms, sup_gradient
 from .operators import (
     MultiplierSpec,
     advect,
+    advect_samples,
     biot_savart,
-    cross_gradient_curl_term,
+    cross_gradient_samples,
     curl,
+    gradient_physical,
     inner_l2,
     inner_weighted,
     lambda_apply,
     multiplier_weights,
 )
 from .solver import MHDState, step_rk4
-from .spectral import SpectralField
+from .spectral import SpectralField, to_physical
 from .triads import extract_band, pair_marginal, weight_tables, weighted_sum
 
 TINY = 1e-300
@@ -336,18 +338,35 @@ def balance_terms(u: SpectralField, h: SpectralField,
     K1, K2 and K3 sum the rows of CURL_TERMS by lemma.  K4 pairs with J the
     rest of the curl of the induction tendency,
     -(omega.grad)h + (J.grad)u - [E(u, h) - E(h, u)], which no lemma covers.
+    u, h, omega and J are transformed once, in one call, and each field a
+    row differentiates gives one gradient tensor, which makes the products
+    of its rows; the gradients of u and h also make E(u, h) - E(h, u).
     """
+    grid = u.grid
     fields = {"u": u, "h": h, "omega": curl(u), "current": curl(h)}
-    trilinear = {(a, b, c): transform_trilinear(fields[a], fields[b],
-                                                fields[c], spec)
-                 for a, b, c, _, _ in CURL_TERMS}
+    samples = to_physical(*fields.values())
+    samples = dict(zip(fields, np.split(samples, len(fields))))
+    weights = multiplier_weights(grid, spec)
+    weights = weights * weights
+    trilinear, grads = {}, {}
+    for b in dict.fromkeys(row[1] for row in CURL_TERMS):
+        grad = gradient_physical(fields[b])
+        for a, row_b, c, _, _ in CURL_TERMS:
+            if row_b == b:
+                trilinear[a, b, c] = inner_weighted(
+                    advect_samples(grid, samples[a], grad), fields[c],
+                    weights)
+        if b in ("u", "h"):
+            grads[b] = grad
+        del grad
+    del samples
+    cross = cross_gradient_samples(grid, grads.pop("u"), grads.pop("h"))
     k = [0.0, 0.0, 0.0]
     for a, b, c, sign, lemma in CURL_TERMS:
         k[_BALANCE_GROUP[lemma]] += sign * trilinear[a, b, c]
     k4 = (trilinear["current", "u", "current"]
           - trilinear["omega", "h", "current"]
-          - weighted_inner(cross_gradient_curl_term(u, h), fields["current"],
-                           spec))
+          - inner_weighted(cross, fields["current"], weights))
     return (*k, k4)
 
 
@@ -355,33 +374,41 @@ def energy_balance_check(state: MHDState, spec: MultiplierSpec,
                          dt_values, tau_dot: float = 0.0) -> dict:
     """Central-difference check of the weighted energy balance along step_rk4.
 
-    For each dt, step_rk4 takes the state a half step and a full step; the
-    norm increment over the full step is compared with K1 + K2 + K3 + K4
-    (plus the tau-rate term when tau_dot != 0) at the half step.  Each
-    stepped state is dropped once its curls are taken.  Returns per-dt
-    defects and observed convergence orders.
+    For each dt, the norm increment over a step of dt is compared with
+    K1 + K2 + K3 + K4 (plus the tau-rate term when tau_dot != 0) at a step
+    of dt/2.  Each distinct step length among the dts and their halves is
+    stepped once from the state, so halving dts (1e-2, 5e-3, 2.5e-3) take 4
+    steps, not 6: a half step that equals, as a float, another dt's full
+    step serves both.  A stepped state gives its half-step terms, its
+    full-step norm or both, and is then dropped.  Returns per-dt defects and
+    observed convergence orders.
     """
+    dts = list(dt_values)
     n0 = 0.5 * _curl_norm_sq(state, spec)
-    defects = []
-    for dt in dt_values:
-        spec1 = replace(spec, tau=spec.tau + tau_dot * dt)
-        spec_h = replace(spec, tau=spec.tau + 0.5 * tau_dot * dt)
-        half = step_rk4(state, 0.5 * dt)
-        terms = balance_terms(half.u, half.h, spec_h)
-        rhs = sum(terms)
-        if tau_dot != 0.0:
-            y_spec = replace(spec_h, r=spec_h.r + 0.5 / spec_h.s)
-            rhs += tau_dot * _curl_norm_sq(half, y_spec)
-        del half
-        deriv = (0.5 * _curl_norm_sq(step_rk4(state, dt), spec1) - n0) / dt
-        scale = max(abs(deriv), sum(abs(x) for x in terms), TINY)
-        defects.append(abs(deriv - rhs) / scale)
+    derivs, rhs, scales = {}, {}, {}
+    for length in dict.fromkeys(x for dt in dts for x in (0.5 * dt, dt)):
+        stepped = step_rk4(state, length)
+        for i, dt in enumerate(dts):
+            if 0.5 * dt == length:
+                spec_h = replace(spec, tau=spec.tau + 0.5 * tau_dot * dt)
+                terms = balance_terms(stepped.u, stepped.h, spec_h)
+                rhs[i] = sum(terms)
+                if tau_dot != 0.0:
+                    y_spec = replace(spec_h, r=spec_h.r + 0.5 / spec_h.s)
+                    rhs[i] += tau_dot * _curl_norm_sq(stepped, y_spec)
+                scales[i] = sum(abs(x) for x in terms)
+            if dt == length:
+                spec1 = replace(spec, tau=spec.tau + tau_dot * dt)
+                derivs[i] = (0.5 * _curl_norm_sq(stepped, spec1) - n0) / dt
+        del stepped
+    defects = [abs(derivs[i] - rhs[i]) / max(abs(derivs[i]), scales[i], TINY)
+               for i in range(len(dts))]
     orders = [
         float(np.log2(defects[i] / defects[i + 1]))
         for i in range(len(defects) - 1)
         if defects[i + 1] > 0
     ]
-    return {"dt": list(dt_values), "defects": defects, "orders": orders}
+    return {"dt": dts, "defects": defects, "orders": orders}
 
 
 def estimate_constant(lemma: str, samples, spec: MultiplierSpec) -> float:

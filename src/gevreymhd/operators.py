@@ -154,10 +154,16 @@ def gradient_physical(b: SpectralField) -> np.ndarray:
     ik = _tables(n).ik
     out = np.empty((3, 3, n, n, n))
 
-    def job(i, buf):
-        m, c = divmod(i, 3)
-        np.multiply(ik[m][..., :half], b.coeffs[c][..., :half], out=buf)
-        _real_inverse(buf, buf, out[m, c])
+    def job(s, buf):
+        # Component 3m + c of the tensor is i k_m times b_c: one multiply
+        # per direction m over the components of s it holds.
+        for m in range(3):
+            lo, hi = max(s.start, 3 * m), min(s.stop, 3 * m + 3)
+            if lo < hi:
+                np.multiply(ik[m][..., :half],
+                            b.coeffs[lo - 3 * m:hi - 3 * m, ..., :half],
+                            out=buf[lo - s.start:hi - s.start])
+        _real_inverse(buf, buf, out.reshape(9, n, n, n)[s])
 
     _transform_components(n, 9, job, scratch=True)
     return out
@@ -170,10 +176,15 @@ def advect(a: SpectralField, b: SpectralField) -> SpectralField:
     """
     if a.grid.n != b.grid.n:
         raise GridError("advect operands live on different grids")
-    aphys = to_physical(a)
-    gradb = gradient_physical(b)
-    prod = np.einsum("mxyz,mcxyz->cxyz", aphys, gradb)
-    return _dealias_in_place(from_physical(a.grid, prod))
+    return advect_samples(a.grid, to_physical(a), gradient_physical(b))
+
+
+def advect_samples(grid: Grid, a: np.ndarray,
+                   grad_b: np.ndarray) -> SpectralField:
+    """`advect` from the samples of a, shape (3, n, n, n), and the gradient
+    tensor of b, as `to_physical` and `gradient_physical` return them."""
+    prod = np.einsum("mxyz,mcxyz->cxyz", a, grad_b)
+    return _dealias_in_place(from_physical(grid, prod))
 
 
 def cross_gradient_curl_term(u: SpectralField,
@@ -184,9 +195,15 @@ def cross_gradient_curl_term(u: SpectralField,
     curl((a.grad)b) = (a.grad)(curl b) + E(a, b) with
     E(a, b)_i = eps_ijk d_j a_l d_l b_k, from the two gradient tensors.
     """
+    return cross_gradient_samples(u.grid, gradient_physical(u),
+                                  gradient_physical(h))
+
+
+def cross_gradient_samples(grid: Grid, gu: np.ndarray,
+                           gh: np.ndarray) -> SpectralField:
+    """`cross_gradient_curl_term` from the gradient tensors of u and h."""
     # gradient_physical[m, c] is d_m of component c: d_j u_l is gu[j, l],
     # and d_l h_k is gh[:, k], contracted over its leading axis l.
-    gu, gh = gradient_physical(u), gradient_physical(h)
     out = np.empty(gu.shape[1:])
 
     def pair(a, b, j, k):
@@ -195,8 +212,7 @@ def cross_gradient_curl_term(u: SpectralField,
     for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
         out[i] = ((pair(gu, gh, j, k) - pair(gu, gh, k, j))
                   - (pair(gh, gu, j, k) - pair(gh, gu, k, j)))
-    del gu, gh
-    return _dealias_in_place(from_physical(u.grid, out))
+    return _dealias_in_place(from_physical(grid, out))
 
 
 def _mode_products(f: SpectralField, g: SpectralField) -> np.ndarray:

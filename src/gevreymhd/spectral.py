@@ -12,28 +12,33 @@ verification code is then trivial.
 The inverse transforms (`to_physical` and `operators.gradient_physical`)
 take real fields only: they read the k_3 >= 0 half of each component,
 c[..., :n//2+1], and make real samples by three one-axis passes, a complex
-inverse along axes 0 and 1 in a scratch array and a complex-to-real inverse
-along axis 2 written straight into the output, about half the work of a
-complex 3-D inverse.  The derivative multipliers i k_m, which the
-gradient and the curl share, are zero at the wavenumber n/2, whose mode is
-its own conjugate partner, so a derivative stays Hermitian.  The forward
-transform (`from_physical`) is a complex 3-D transform per component.  Every
-transform works in arrays the caller allocated, and `to_physical` and
-`from_physical` take the components of several fields in one call.  On grids
-with n >= 64 the components are split into one contiguous group per CPU in
-the process's affinity mask; the calling thread runs one group and a
-module-level thread pool, created on first use, runs the others.  numpy's
-transforms release the interpreter lock, so the groups run in parallel, and
-the u and h of a state, transformed together, make six components that split
-evenly over two or three CPUs.  The solver's elementwise n^3 passes (the
-dealias mask, the Leray projection, the advection products and the RK4
-updates) run on the same pool through `_over_slabs`, which splits the first
-mode axis into one slab per CPU.  Smaller grids run everything on the
-calling thread, as a second thread gained little or lost there.  A transform
-over the component axis computes each component with the same arithmetic as
-a call on that component alone, and an elementwise pass computes each entry
+inverse along the first two mode axes in a scratch array and a
+complex-to-real inverse along the third written straight into the output,
+about half the work of a complex 3-D inverse.  The derivative multipliers
+i k_m, which the gradient and the curl share, are zero at the wavenumber
+n/2, whose mode is its own conjugate partner, so a derivative stays
+Hermitian.  The forward transform (`from_physical`) is a complex 3-D
+transform.  Every transform works in arrays the caller allocated, with the
+component axis leading, and `to_physical` and `from_physical` take the
+components of several fields in one call.  Below n = 64 (`_POOL_MIN_N`)
+each pass is one numpy call over all of a transform's components, on the
+calling thread, as a second thread gained little or lost there: the
+samples of any number of fields and a gradient tensor take three calls, a
+forward transform one.  On grids with n >= 64 the components are split
+into one contiguous group per CPU in the process's affinity mask, and a
+group transforms one component per call in its own one-component scratch;
+the calling thread runs one group and a module-level thread pool, created
+on first use, runs the others.  numpy's transforms release the interpreter
+lock, so the groups run in parallel, and the u and h of a state,
+transformed together, make six components that split evenly over two or
+three CPUs.  The solver's elementwise n^3 passes (the dealias mask, the
+Leray projection, the advection products and the RK4 updates) run on the
+same pool through `_over_slabs`, which splits the first mode axis into one
+slab per CPU; smaller grids run them on the calling thread.  A pass over
+the component axis computes each component with the same arithmetic as a
+call on that component alone, and an elementwise pass computes each entry
 the same way on any slab, so the outputs are bit-identical for any thread
-count.
+count and for either way of batching the components.
 
 The per-mode tables of the spectral operators (wavevectors, the Leray
 denominator |k|^2 and the dealias mask) are built once per grid size and
@@ -256,25 +261,33 @@ def _run_groups(groups: int, run) -> list:
 
 
 def _transform_components(n: int, count: int, job, scratch: bool) -> None:
-    """Call job(i, buf) for every component i in range(count) of an n^3 grid.
+    """Call job(s, buf) over slices s of range(count) that cover it once.
 
-    buf is an (n, n, n//2 + 1) complex scratch array, the shape of a
-    component's k_3 >= 0 half, owned by the component's group (None without
-    `scratch`); the caller allocates it, so worker threads allocate nothing
-    large, whose freed blocks glibc's per-thread arenas would keep.  Groups
-    are contiguous, one per CPU on grids with n >= _POOL_MIN_N, and run as
-    `_run_groups` runs them.
+    buf is complex scratch of shape (len(s), n, n, n//2 + 1), the shape of
+    the k_3 >= 0 halves of those components (None without `scratch`); the
+    caller allocates it, so worker threads allocate nothing large, whose
+    freed blocks glibc's per-thread arenas would keep.  Below _POOL_MIN_N
+    one call covers every component, so each one-axis pass of a transform
+    is one numpy call over all of them.  On larger grids the components are
+    split into contiguous groups, one per CPU, run as `_run_groups` runs
+    them; a group calls job on one component at a time with its own
+    one-component scratch.
     """
-    groups = min(count, _cpu_count()) if n >= _POOL_MIN_N else 1
+    shape = (n, n, n // 2 + 1)
+    if n < _POOL_MIN_N:
+        buf = np.empty((count, *shape), dtype=np.complex128) if scratch else None
+        job(slice(0, count), buf)
+        return
+    groups = min(count, _cpu_count())
     bounds = [count * g // groups for g in range(groups + 1)]
     if scratch:
-        bufs = np.empty((groups, n, n, n // 2 + 1), dtype=np.complex128)
+        bufs = np.empty((groups, 1, *shape), dtype=np.complex128)
     else:
         bufs = [None] * groups
 
     def run_group(g):
         for i in range(bounds[g], bounds[g + 1]):
-            job(i, bufs[g])
+            job(slice(i, i + 1), bufs[g])
 
     _run_groups(groups, run_group)
 
@@ -299,16 +312,16 @@ def _over_slabs(n: int, job, *args) -> list:
 
 
 def _real_inverse(half: np.ndarray, buf: np.ndarray, out: np.ndarray) -> None:
-    """Unscaled real inverse of a component's k_3 >= 0 half, into out.
+    """Unscaled real inverse of stacked components' k_3 >= 0 halves, into out.
 
-    half is c[..., :n//2+1] of a Hermitian component (it may be buf
-    itself); buf is scratch of its shape and is overwritten.  The passes
-    are one-axis calls of numpy's n-D functions, which allocate no n^3
-    intermediates as a 3-axis `irfftn` would.
+    half holds c[..., :n//2+1] of Hermitian components, the component axis
+    leading (it may be buf itself); buf is scratch of its shape and is
+    overwritten.  The passes are one-axis calls of numpy's n-D functions,
+    which allocate no n^3 intermediates as a 3-axis `irfftn` would.
     """
-    np.fft.ifftn(half, axes=(0,), norm="forward", out=buf)
-    np.fft.ifftn(buf, axes=(1,), norm="forward", out=buf)
-    np.fft.irfftn(buf, s=out.shape[-1:], axes=(2,), norm="forward", out=out)
+    np.fft.ifftn(half, axes=(1,), norm="forward", out=buf)
+    np.fft.ifftn(buf, axes=(2,), norm="forward", out=buf)
+    np.fft.irfftn(buf, s=out.shape[-1:], axes=(3,), norm="forward", out=out)
 
 
 def to_physical(*fields: SpectralField) -> np.ndarray:
@@ -323,13 +336,18 @@ def to_physical(*fields: SpectralField) -> np.ndarray:
     n = fields[0].grid.n
     if any(f.grid.n != n for f in fields):
         raise GridError("fields to transform live on different grids")
-    coeffs = [c for f in fields for c in f.coeffs]
-    out = np.empty((len(coeffs), n, n, n))
+    halves = [f.coeffs[..., :n // 2 + 1] for f in fields]
+    out = np.empty((3 * len(fields), n, n, n))
 
-    def job(i, buf):
-        _real_inverse(coeffs[i][..., :n // 2 + 1], buf, out[i])
+    def job(s, buf):
+        f, c = divmod(s.start, 3)
+        if s.stop <= 3 * f + 3:  # one field holds them: read them in place
+            _real_inverse(halves[f][c:c + s.stop - s.start], buf, out[s])
+        else:  # every component of several fields (n < _POOL_MIN_N)
+            np.concatenate(halves, out=buf)
+            _real_inverse(buf, buf, out[s])
 
-    _transform_components(n, len(coeffs), job, scratch=True)
+    _transform_components(n, len(out), job, scratch=True)
     return out
 
 
@@ -349,10 +367,10 @@ def from_physical(grid: Grid, samples: np.ndarray):
         )
     coeffs = np.empty(samples.shape, dtype=np.complex128)
 
-    def job(i, _):
-        coeffs[i] = samples[i]
-        np.fft.fftn(coeffs[i], out=coeffs[i])
-        np.divide(coeffs[i], n**3, out=coeffs[i])
+    def job(s, _):
+        coeffs[s] = samples[s]
+        np.fft.fftn(coeffs[s], axes=(1, 2, 3), out=coeffs[s])
+        np.divide(coeffs[s], n**3, out=coeffs[s])
 
     _transform_components(n, len(coeffs), job, scratch=False)
     coeffs[:, 0, 0, 0] = 0.0

@@ -12,12 +12,15 @@ every weighted sum is a cheap contraction of P against a small weight table.
 
 The marginal stays a direct sum over the triads of the band, with no FFT, so
 its comparison with the transform path stays independent.  It is computed
-as 2K+1 slab contractions, one per l_m: the third field, gathered at
-l = -j-k over the perpendicular plane, is contracted against the first in
-one matrix product and then against k (x) b for the pairs with
-j_m + k_m = -l_m.  The reduction order is fixed by the code and the BLAS
-build, so residuals are reproducible for a given numpy/BLAS build and
-thread count.
+as K+1 slab contractions, one per l_m >= 0: the third field, gathered at
+l = -j-k over the perpendicular plane, is contracted against the rows of
+the first whose j_m has a partner k_m = -l_m - j_m in the band, in one
+matrix product, and then against k (x) b for those pairs.  The l_m < 0
+half follows from P[-j_m, -k_m] = -conj P[j_m, k_m], which holds when the
+three fields are real, so every cube must be Hermitian,
+X[c, -k] = conj X[c, k], to roundoff; `pair_marginal` rejects one that is
+not.  The reduction order is fixed by the code and the BLAS build, so
+residuals are reproducible for a given numpy/BLAS build and thread count.
 """
 
 import numpy as np
@@ -25,6 +28,7 @@ import numpy as np
 from .spectral import SpectralField
 
 MAX_BRUTE_KMAX = 6
+HERMITIAN_RTOL = 1e-12  # a cube's defect, relative to its largest entry
 
 
 class BandError(ValueError):
@@ -59,11 +63,28 @@ def extract_band(v: SpectralField, kmax: int, strict: bool = True) -> np.ndarray
     return cube
 
 
+def _require_real(X: np.ndarray, name: str) -> None:
+    """Raise unless the band cube X is Hermitian to HERMITIAN_RTOL."""
+    defect = float(np.max(np.abs(X[:, ::-1, ::-1, ::-1] - np.conj(X))))
+    if defect > HERMITIAN_RTOL * float(np.max(np.abs(X))):
+        raise ValueError(
+            f"pair_marginal needs real fields: cube {name} has Hermitian "
+            f"defect {defect:.3e} (tolerance {HERMITIAN_RTOL:.0e} of its "
+            f"largest entry)"
+        )
+
+
 def pair_marginal(A: np.ndarray, B: np.ndarray, C: np.ndarray, K: int,
                   m: int) -> np.ndarray:
-    """P[j_m+K, k_m+K] = sum over pairs of (a_j . k)(b_k . c_{-j-k})."""
+    """P[j_m+K, k_m+K] = sum over pairs of (a_j . k)(b_k . c_{-j-k}).
+
+    A, B and C are the band cubes of real fields; a cube that is not
+    Hermitian to roundoff raises ValueError.
+    """
     if m not in (1, 2, 3):
         raise ValueError(f"direction index m must be in 1..3, got {m}")
+    for name, X in zip("ABC", (A, B, C)):
+        _require_real(X, name)
     size = 2 * K + 1
     plane = size * size
     # Axis m first, the perpendicular plane flattened: X[c, i_m, p].
@@ -90,13 +111,19 @@ def pair_marginal(A: np.ndarray, B: np.ndarray, C: np.ndarray, K: int,
           * b.transpose(1, 2, 0)[:, None, :, :]).reshape(size, 9 * plane)
     amat = a.transpose(1, 0, 2).reshape(size * 3, plane)
     P = np.zeros((size, size), dtype=np.complex128)
-    for lm in range(-K, K + 1):
+    for lm in range(K + 1):
+        # The pairs j_m + k_m = -l_m in the band have j_m = -K .. K - l_m,
+        # the first 2K+1-l_m rows of a.
+        jm = np.arange(-K, K - lm + 1)
+        km = -lm - jm
         # t[j_m, d, q, e] = sum_p a^d_{(j_m, p)} c^e_{(l_m, -(p+q))}
         block = cpad[lm + K][gather].reshape(plane, plane * 3)
-        t = (amat @ block).reshape(size, 9 * plane)
-        jm = np.arange(max(-K, -K - lm), min(K, K - lm) + 1)
-        km = -lm - jm
-        P[jm + K, km + K] = np.einsum("ix,ix->i", t[jm + K], kb[km + K])
+        t = (amat[:3 * len(jm)] @ block).reshape(len(jm), 9 * plane)
+        P[jm + K, km + K] = np.einsum("ix,ix->i", t, kb[km + K])
+    # The pairs with l_m < 0, mirrored from those with -l_m.
+    lsum = kline[:, None] + kline[None, :]  # -l_m
+    mirror = (lsum > 0) & (lsum <= K)
+    P[mirror] = -np.conj(P[::-1, ::-1][mirror])
     return P
 
 

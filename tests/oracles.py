@@ -7,18 +7,28 @@ whole-history radius pipeline (cumulative I(t), the Gronwall majorant M(t)
 and the Bernoulli closed form) that `solver.run` and RadiusTracker compute
 one sample at a time.  rk4_chain is the one driver here: it steps the
 package's one-interval radius kernel across a sampled history.  The last
-three functions are test-side compositions of package kernels that the
+five functions are test-side compositions of package kernels that the
 package itself never calls: the vorticity/current tendency of a primitive
 state as the rows of `lab.CURL_TERMS` through `operators.advect`, the
-brute-force trilinear form, and a run loop that transforms every state once
-per use.
+brute-force trilinear form, a run loop that transforms every state once
+per use, the balance terms as one `lab.transform_trilinear` per row, and
+the energy balance check with a half step and a full step per dt.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
 from gevreymhd import solver
-from gevreymhd.lab import CURL_TERMS
-from gevreymhd.operators import advect, curl
+from gevreymhd.lab import (
+    _BALANCE_GROUP,
+    CURL_TERMS,
+    TINY,
+    _curl_norm_sq,
+    transform_trilinear,
+    weighted_inner,
+)
+from gevreymhd.operators import advect, cross_gradient_curl_term, curl
 from gevreymhd.radius import _rk4_interval
 from gevreymhd.solver import (
     RunResult,
@@ -240,3 +250,46 @@ def reference_run(state, *, params, t_end, dt=None, cfl=None, cadence=1):
     for rec, value in zip(records, integral):
         rec.grad_integral = float(value)
     return RunResult(records, state, status)
+
+
+def balance_terms_reference(u, h, spec):
+    """lab.balance_terms as one transform_trilinear per row of CURL_TERMS,
+    each transforming and differentiating its own fields, plus the K4 cross
+    term from its own two gradient tensors."""
+    fields = {"u": u, "h": h, "omega": curl(u), "current": curl(h)}
+    trilinear = {(a, b, c): transform_trilinear(fields[a], fields[b],
+                                                fields[c], spec)
+                 for a, b, c, _, _ in CURL_TERMS}
+    k = [0.0, 0.0, 0.0]
+    for a, b, c, sign, lemma in CURL_TERMS:
+        k[_BALANCE_GROUP[lemma]] += sign * trilinear[a, b, c]
+    k4 = (trilinear["current", "u", "current"]
+          - trilinear["omega", "h", "current"]
+          - weighted_inner(cross_gradient_curl_term(u, h), fields["current"],
+                           spec))
+    return (*k, k4)
+
+
+def energy_balance_reference(state, spec, dt_values, tau_dot=0.0):
+    """lab.energy_balance_check stepping a half step and a full step per dt,
+    with balance_terms_reference: 6 steps for 3 dts, whatever they share."""
+    n0 = 0.5 * _curl_norm_sq(state, spec)
+    defects = []
+    for dt in dt_values:
+        spec1 = replace(spec, tau=spec.tau + tau_dot * dt)
+        spec_h = replace(spec, tau=spec.tau + 0.5 * tau_dot * dt)
+        half = step_rk4(state, 0.5 * dt)
+        terms = balance_terms_reference(half.u, half.h, spec_h)
+        rhs = sum(terms)
+        if tau_dot != 0.0:
+            y_spec = replace(spec_h, r=spec_h.r + 0.5 / spec_h.s)
+            rhs += tau_dot * _curl_norm_sq(half, y_spec)
+        deriv = (0.5 * _curl_norm_sq(step_rk4(state, dt), spec1) - n0) / dt
+        scale = max(abs(deriv), sum(abs(x) for x in terms), TINY)
+        defects.append(abs(deriv - rhs) / scale)
+    orders = [
+        float(np.log2(defects[i] / defects[i + 1]))
+        for i in range(len(defects) - 1)
+        if defects[i + 1] > 0
+    ]
+    return {"dt": list(dt_values), "defects": defects, "orders": orders}

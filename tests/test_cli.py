@@ -1,6 +1,7 @@
 """The CLI's error path and warnings, and the README's config example."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -9,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-import gevreymhd
 from gevreymhd.checkpoint import MAGIC, VERSION, _HEADER, save_checkpoint
 from gevreymhd.config import REQUIRED, SCHEMA, load_config
 from gevreymhd.norms import GevreyParams
@@ -70,12 +70,15 @@ class TestReadme:
         text = (ROOT / "README.md").read_text()
         section = text.split("## Library example", 1)[1]
         code = re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
-        names = [alias.name for node in ast.walk(ast.parse(code))
+        names = [(node.module, alias.name)
+                 for node in ast.walk(ast.parse(code))
                  if isinstance(node, ast.ImportFrom)
-                 and node.module == "gevreymhd" for alias in node.names]
+                 and (node.module or "").split(".")[0] == "gevreymhd"
+                 for alias in node.names]
         assert names
-        for name in names:
-            assert hasattr(gevreymhd, name), name
+        for module, name in names:
+            assert hasattr(importlib.import_module(module), name), (module,
+                                                                    name)
 
 
 def small_checkpoint(path):

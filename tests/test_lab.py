@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gevreymhd import lab
+from gevreymhd import lab, operators
 from gevreymhd.operators import MultiplierSpec, curl
 from gevreymhd.spectral import (
     Grid,
@@ -12,7 +12,8 @@ from gevreymhd.spectral import (
     random_band_field,
     taylor_green_mhd,
 )
-from test_solver import traced_peak_fields
+from oracles import balance_terms_reference, energy_balance_reference
+from test_solver import counted_calls, traced_peak_fields
 
 
 def band_state(seed, kmax=4, amplitude=1.0):
@@ -184,6 +185,41 @@ class TestEnergyBalance:
         out = lab.energy_balance_check(state, spec, dts)
         assert len(out["orders"]) == 2
         assert all(o < 1.0 for o in out["orders"]), out
+
+    def test_terms_transform_each_field_once(self, monkeypatch):
+        # u, h, omega and J in one to_physical call, and one gradient
+        # tensor per field a row differentiates, equal bit for bit to a
+        # transform_trilinear per row and the K4 cross term.
+        st = random_band(Grid(16), seed=500, kmax=4, amplitude=0.2)
+        spec = MultiplierSpec(m=2, r=1.0, tau=0.1, s=1.0)
+        expected = balance_terms_reference(st.u, st.h, spec)
+        transforms, gradients = [0], [0]
+        for module in (lab, operators):
+            monkeypatch.setattr(module, "to_physical",
+                                counted_calls(module.to_physical, transforms))
+            monkeypatch.setattr(
+                module, "gradient_physical",
+                counted_calls(module.gradient_physical, gradients))
+        assert lab.balance_terms(st.u, st.h, spec) == expected
+        assert transforms[0] == 1
+        assert gradients[0] == 4
+
+    @pytest.mark.parametrize("dts, tau_dot, steps", [
+        ((1e-2, 5e-3, 2.5e-3), 0.0, 4),
+        ((1e-2, 2.5e-3), -0.05, 4),
+        ((1e-2, 1e-2), 0.0, 2),
+    ])
+    def test_each_step_length_stepped_once(self, dts, tau_dot, steps,
+                                           monkeypatch):
+        # A half step that is another dt's full step is stepped once; the
+        # outcome equals bit for bit a half and a full step per dt.
+        state = random_band(Grid(16), seed=3, kmax=4, amplitude=0.3)
+        spec = MultiplierSpec(m=2, r=1.5, tau=0.1, s=1.5)
+        expected = energy_balance_reference(state, spec, dts, tau_dot)
+        calls = [0]
+        monkeypatch.setattr(lab, "step_rk4", counted_calls(lab.step_rk4, calls))
+        assert lab.energy_balance_check(state, spec, dts, tau_dot) == expected
+        assert calls[0] == steps
 
     def test_peak_allocation(self):
         # Each stepped state is dropped once its curls are taken.

@@ -218,8 +218,8 @@ class TestPooledTransforms:
         x = np.fft.ifftn(x, axes=(2,), norm="forward")
         return np.fft.irfftn(x, s=(n,), axes=(3,), norm="forward")
 
-    @pytest.mark.parametrize("n, cpus", [(16, None), (64, None), (64, 1),
-                                         (64, 2), (64, 4)])
+    @pytest.mark.parametrize("n, cpus", [(16, None), (32, None), (64, None),
+                                         (64, 1), (64, 2), (64, 4)])
     def test_equal_to_batched_numpy_calls(self, n, cpus, monkeypatch):
         if cpus is not None:
             self.force_cpus(monkeypatch, cpus)
@@ -236,6 +236,23 @@ class TestPooledTransforms:
             km = np.where(km == -n // 2, 0, km)  # no derivative at n/2
             assert np.array_equal(grad[m],
                                   self.half_spectrum_inverse(1j * km * c))
+
+    @pytest.mark.parametrize("transform", [
+        to_physical, lambda v: to_physical(v, v), gradient_physical,
+    ], ids=["to_physical", "to_physical-two-fields", "gradient_physical"])
+    def test_one_numpy_call_per_pass_below_pool_size(self, transform,
+                                                     monkeypatch):
+        # Each of the three one-axis passes covers every component at once.
+        calls = []
+        for name in ("fftn", "ifftn", "irfftn"):
+            def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+                calls.append(args[0].shape)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        out = transform(self.random_field(16))
+        assert len(calls) == 3, calls
+        assert all(shape[0] == len(out.reshape(-1, 16, 16, 16))
+                   for shape in calls)
 
     @pytest.mark.parametrize("n, cpus", [(16, None), (64, 2), (64, 3)])
     def test_several_fields_equal_one_at_a_time(self, n, cpus, monkeypatch):

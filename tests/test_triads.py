@@ -49,6 +49,18 @@ class TestMarginalKernels:
         with pytest.raises(ValueError):
             triads.pair_marginal(A, A, A, 2, 0)
 
+    def test_non_hermitian_cube_rejected(self):
+        # The l_m < 0 half of the marginal is mirrored from the l_m > 0
+        # half, which holds for real fields only.
+        st = random_band(Grid(16), seed=32, kmax=2)
+        A = triads.extract_band(st.u, 2)
+        B = A.copy()
+        B[1, 2 + 1, 2 - 1, 2] += 1e-6 * np.max(np.abs(A))
+        triads.pair_marginal(A, A, A, 2, 1)
+        for cubes in ((B, A, A), (A, B, A), (A, A, B)):
+            with pytest.raises(ValueError, match="Hermitian"):
+                triads.pair_marginal(*cubes, 2, 1)
+
     @pytest.mark.parametrize("m", (1, 2, 3))
     def test_matches_per_entry_python_oracle(self, m):
         g = Grid(16)
