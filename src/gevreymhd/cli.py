@@ -67,13 +67,19 @@ def _execute_run(config, config_path: str, state, tau0: float) -> int:
             show(message, category, *args, **kwargs)
 
     out = Path(os.environ.get("GEVREYMHD_OUTPUT_DIR", "") or config.directory)
+    series = out / config.series
+    spectrum = config.spectra and out / f"{config.spectra}_final.csv"
+    checkpoint = config.checkpoint and out / config.checkpoint
     try:  # before the run, so a bad path does not cost the run
-        out.mkdir(parents=True, exist_ok=True)
+        for path in filter(None, (series, spectrum, checkpoint)):
+            path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(
-            f"cannot create output directory {out}: {exc}") from exc
+            f"cannot create output directory {path.parent}: {exc}") from exc
     with warnings.catch_warnings():
         warnings.showwarning = show_warning
+        # A line on stderr, also where the caller's filters raise warnings.
+        warnings.simplefilter("always", SubcriticalWarning)
         result = run(
             state, params=config.params, t_end=config.t_end, dt=config.dt,
             cfl=config.cfl, cadence=config.cadence,
@@ -96,13 +102,13 @@ def _execute_run(config, config_path: str, state, tau0: float) -> int:
     if status == "completed" and tracker.collapsed:
         status = "radius-collapse"
 
-    _write_series(out / config.series, records)
-    if config.spectra:
-        _write_spectrum(out / f"{config.spectra}_final.csv", result.state)
-    if config.checkpoint:
-        save_checkpoint(out / config.checkpoint, result.state,
-                        config.params, records[-1].tau)
-    print(f"status: {status}; wrote {out / config.series}")
+    _write_series(series, records)
+    if spectrum:
+        _write_spectrum(spectrum, result.state)
+    if checkpoint:
+        save_checkpoint(checkpoint, result.state, config.params,
+                        records[-1].tau)
+    print(f"status: {status}; wrote {series}")
     return 0 if status == "completed" else 2
 
 

@@ -81,13 +81,10 @@ class RunConfig:
             errors.append(f"gevrey.s must be >= 1, got {self.s}")
         if self.tau0 <= 0:
             errors.append(f"gevrey.tau0 must be > 0, got {self.tau0}")
-        if isinstance(self.c, str):
-            if self.c != "fit":
-                errors.append(
-                    f"radius.c must be a number or 'fit', got {self.c!r}"
-                )
-        elif self.c <= 0:
+        if self.c != "fit" and self.c <= 0:  # _c_value gives "fit" or a float
             errors.append(f"radius.c must be > 0, got {self.c}")
+        if not Path(self.series).name:  # "", "." or "/" name no file
+            errors.append(f"output.series must name a file: {self.series!r}")
         if errors:
             raise ConfigError("; ".join(errors))
         self.params = GevreyParams(r=self.r, s=self.s, tau=self.tau0)

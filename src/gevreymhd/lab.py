@@ -7,11 +7,11 @@ exhaustively; constant estimation reports empirical sup ratios against the
 right-hand-side structures with unit constant.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .norms import GevreyParams, field_norms, state_norms, sup_gradient
+from .norms import GevreyParams, NormRecord, field_norms, sup_gradient
 from .operators import (
     MultiplierSpec,
     advect,
@@ -69,12 +69,6 @@ def weighted_inner(f: SpectralField, g: SpectralField,
     """<f, Lam_m^{2r} e^{2 tau Lam_m^{1/s}} g> via the transform path."""
     w = multiplier_weights(f.grid, spec)
     return inner_weighted(f, g, w * w)
-
-
-def transform_trilinear(a: SpectralField, b: SpectralField, c: SpectralField,
-                        spec: MultiplierSpec) -> float:
-    """<a . grad b, Lam_m^{2r} e^{2 tau Lam_m^{1/s}} c> via FFT products."""
-    return weighted_inner(advect(a, b), c, spec)
 
 
 def cancellation_residual(u: SpectralField, w: SpectralField,
@@ -436,10 +430,10 @@ def estimate_constant(lemma: str, samples, spec: MultiplierSpec) -> float:
                  for a, b, c, sign, _ in rows]
         gu = sup_gradient(fields["u"])[0]
         gh = sup_gradient(fields["h"])[0]
-        norms = state_norms(omega, current, params, gu, gh)
-        hr_o, hr_pair = norms.hr_omega, norms.hr
-        x_o, x_j, x_pair = norms.x_omega, norms.x_current, norms.x_norm
-        y_o, y_j, y_pair = norms.y_omega, norms.y_current, norms.y_norm
+        per_field = field_norms(omega, params), field_norms(current, params)
+        (hr_o, x_o, y_o), (_, x_j, y_j) = per_field
+        hr_pair, x_pair, y_pair = astuple(
+            NormRecord(*map(np.hypot, *per_field)))
         if lemma == "3.1":
             rhs = ((tau * gu + tau**2 * hr_o + tau**2 * x_o) * y_o**2
                    + (gu * x_o + (1 + tau) * hr_o**2) * x_o)

@@ -68,24 +68,14 @@ class GevreyParams:
 
 @dataclass
 class NormRecord:
-    """Norm snapshot of a vorticity/current pair."""
+    """H^r, X and Y norms of a vorticity/current pair."""
 
     hr: float
     x_norm: float
     y_norm: float
-    grad_u_sup: float
-    grad_h_sup: float
-    x_omega: float
-    x_current: float
-    hr_omega: float
-    hr_current: float
-    y_omega: float
-    y_current: float
 
     def __post_init__(self):
-        vals = [self.hr, self.x_norm, self.y_norm, self.grad_u_sup,
-                self.grad_h_sup, self.x_omega, self.x_current,
-                self.hr_omega, self.hr_current, self.y_omega, self.y_current]
+        vals = [self.hr, self.x_norm, self.y_norm]
         if not all(np.isfinite(v) and v >= 0 for v in vals):
             raise ValueError(f"norm record entries must be finite and >= 0: {vals}")
         # Directional weights satisfy |k_m|^(r+1/2s) >= |k_m|^r on every
@@ -174,27 +164,13 @@ def field_norms(v: SpectralField, params: GevreyParams) -> tuple:
 
 
 def state_norms(omega: SpectralField, current: SpectralField,
-                params: GevreyParams, grad_u_sup: float,
-                grad_h_sup: float) -> NormRecord:
+                params: GevreyParams) -> NormRecord:
     """Combined norm record for a vorticity/current pair.
 
     Pair norms combine in quadrature: ||pair||^2 = ||omega||^2 + ||J||^2.
     """
-    hr_o, x_o, y_o = field_norms(omega, params)
-    hr_j, x_j, y_j = field_norms(current, params)
-    return NormRecord(
-        hr=float(np.hypot(hr_o, hr_j)),
-        x_norm=float(np.hypot(x_o, x_j)),
-        y_norm=float(np.hypot(y_o, y_j)),
-        grad_u_sup=grad_u_sup,
-        grad_h_sup=grad_h_sup,
-        x_omega=x_o,
-        x_current=x_j,
-        hr_omega=hr_o,
-        hr_current=hr_j,
-        y_omega=y_o,
-        y_current=y_j,
-    )
+    pairs = zip(field_norms(omega, params), field_norms(current, params))
+    return NormRecord(*(float(np.hypot(o, j)) for o, j in pairs))
 
 
 def mode_amplitude(*fields: SpectralField) -> np.ndarray:

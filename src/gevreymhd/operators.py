@@ -187,21 +187,14 @@ def advect_samples(grid: Grid, a: np.ndarray,
     return _dealias_in_place(from_physical(grid, prod))
 
 
-def cross_gradient_curl_term(u: SpectralField,
-                             h: SpectralField) -> SpectralField:
-    """E(u, h) - E(h, u), the gradient coupling in the curl of the induction
-    nonlinearity, dealiased.
-
-    curl((a.grad)b) = (a.grad)(curl b) + E(a, b) with
-    E(a, b)_i = eps_ijk d_j a_l d_l b_k, from the two gradient tensors.
-    """
-    return cross_gradient_samples(u.grid, gradient_physical(u),
-                                  gradient_physical(h))
-
-
 def cross_gradient_samples(grid: Grid, gu: np.ndarray,
                            gh: np.ndarray) -> SpectralField:
-    """`cross_gradient_curl_term` from the gradient tensors of u and h."""
+    """E(u, h) - E(h, u), dealiased, from the gradient tensors of u and h.
+
+    E is the gradient coupling in the curl of the induction nonlinearity:
+    curl((a.grad)b) = (a.grad)(curl b) + E(a, b) with
+    E(a, b)_i = eps_ijk d_j a_l d_l b_k.
+    """
     # gradient_physical[m, c] is d_m of component c: d_j u_l is gu[j, l],
     # and d_l h_k is gh[:, k], contracted over its leading axis l.
     out = np.empty(gu.shape[1:])

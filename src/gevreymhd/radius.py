@@ -6,7 +6,7 @@ Gronwall majorant M(t)).  RadiusTracker is the one place that computes M(t)
 and tau, from records to which `solver.run` gave the gradient integral I(t).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,14 +31,12 @@ class RadiusModel:
 
     C: float = 1.0
     tau0: float = 1.0
-    C0: float = 0.0
-    C1: float = 0.0
+    C0: float = field(default=0.0, init=False)
+    C1: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         if self.C <= 0 or self.tau0 <= 0:
             raise ValueError("C and tau0 must both be positive")
-        if self.C0 < 0 or self.C1 < 0:
-            raise ValueError("C0 and C1 must be >= 0")
 
     def populate_from_initial(self, hr0: float, x0: float) -> "RadiusModel":
         self.C0 = self.C * (hr0 + x0)

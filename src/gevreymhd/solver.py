@@ -267,7 +267,7 @@ def _sample_diagnostics(state: MHDState, params: GevreyParams,
     else:
         sups = maxima.grad_u, maxima.grad_h
     (grad_u, omega_sup), (grad_h, current_sup) = sups
-    norms = state_norms(omega, current, params, grad_u, grad_h)
+    norms = state_norms(omega, current, params)
     try:
         tau_fit = fit_radius(mode_amplitude(omega, current), params.s)
     except RadiusFitError:

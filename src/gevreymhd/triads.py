@@ -35,11 +35,11 @@ class BandError(ValueError):
     """Field content outside the requested brute-force band."""
 
 
-def extract_band(v: SpectralField, kmax: int, strict: bool = True) -> np.ndarray:
+def extract_band(v: SpectralField, kmax: int) -> np.ndarray:
     """Dense (3, 2K+1, 2K+1, 2K+1) coefficient cube over |k_i| <= kmax.
 
-    Index [c, k1+K, k2+K, k3+K] holds component c at wavevector k.  With
-    strict=True, content outside the band raises.
+    Index [c, k1+K, k2+K, k3+K] holds component c at wavevector k.  Content
+    outside the band raises.
     """
     if kmax > MAX_BRUTE_KMAX:
         nmodes = (2 * kmax + 1) ** 3
@@ -47,20 +47,15 @@ def extract_band(v: SpectralField, kmax: int, strict: bool = True) -> np.ndarray
             f"kmax={kmax} exceeds the brute-force cap {MAX_BRUTE_KMAX} "
             f"(~{nmodes**2:.2e} mode pairs)"
         )
-    n = v.grid.n
-    if strict:
-        outside = ~v.grid.band_mask(kmax)
-        leak = float(np.max(np.abs(v.coeffs[:, outside]))) if outside.any() else 0.0
-        if leak > 1e-13 * max(v.max_amplitude(), 1.0):
-            raise BandError(
-                f"field has content outside |k_i| <= {kmax} (max {leak:.3e})"
-            )
-    K = kmax
-    cube = np.zeros((3, 2 * K + 1, 2 * K + 1, 2 * K + 1), dtype=np.complex128)
-    idx = np.arange(-K, K + 1)
-    pos = idx % n
-    cube[:] = v.coeffs[np.ix_((0, 1, 2), pos, pos, pos)]
-    return cube
+    outside = ~v.grid.band_mask(kmax)
+    leak = float(np.max(np.abs(v.coeffs[:, outside]))) if outside.any() else 0.0
+    if leak > 1e-13 * max(v.max_amplitude(), 1.0):
+        raise BandError(
+            f"field has content outside |k_i| <= {kmax} (max {leak:.3e})"
+        )
+    pos = np.arange(-kmax, kmax + 1) % v.grid.n
+    # Advanced indexing copies, so the cube shares no memory with v.
+    return v.coeffs[np.ix_((0, 1, 2), pos, pos, pos)]
 
 
 def _require_real(X: np.ndarray, name: str) -> None:

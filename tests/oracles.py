@@ -7,12 +7,15 @@ whole-history radius pipeline (cumulative I(t), the Gronwall majorant M(t)
 and the Bernoulli closed form) that `solver.run` and RadiusTracker compute
 one sample at a time.  rk4_chain is the one driver here: it steps the
 package's one-interval radius kernel across a sampled history.  The last
-five functions are test-side compositions of package kernels that the
+seven functions are test-side compositions of package kernels that the
 package itself never calls: the vorticity/current tendency of a primitive
 state as the rows of `lab.CURL_TERMS` through `operators.advect`, the
-brute-force trilinear form, a run loop that transforms every state once
-per use, the balance terms as one `lab.transform_trilinear` per row, and
-the energy balance check with a half step and a full step per dt.
+weighted trilinear form through `advect` (transform_trilinear), the cross
+gradient term E(u, h) - E(h, u) from the two gradient tensors of u and h
+(cross_gradient_curl_term), the brute-force trilinear form, a run loop
+that transforms every state once per use, the balance terms as one
+transform_trilinear per row, and the energy balance check with a half step
+and a full step per dt.
 """
 
 from dataclasses import replace
@@ -25,10 +28,14 @@ from gevreymhd.lab import (
     CURL_TERMS,
     TINY,
     _curl_norm_sq,
-    transform_trilinear,
     weighted_inner,
 )
-from gevreymhd.operators import advect, cross_gradient_curl_term, curl
+from gevreymhd.operators import (
+    advect,
+    cross_gradient_samples,
+    curl,
+    gradient_physical,
+)
 from gevreymhd.radius import _rk4_interval
 from gevreymhd.solver import (
     RunResult,
@@ -200,6 +207,18 @@ def rhs_curl(state):
         tend[c] = tend[c] + sign * advect(fields[a], fields[b]).coeffs
     return Tendency(*(SpectralField(state.grid, tend[c])
                       for c in ("omega", "current")))
+
+
+def transform_trilinear(a, b, c, spec):
+    """<a . grad b, Lam_m^{2r} e^{2 tau Lam_m^{1/s}} c> via FFT products."""
+    return weighted_inner(advect(a, b), c, spec)
+
+
+def cross_gradient_curl_term(u, h):
+    """`operators.cross_gradient_samples` of u and h, each differentiated by
+    its own `gradient_physical` call."""
+    return cross_gradient_samples(u.grid, gradient_physical(u),
+                                  gradient_physical(h))
 
 
 def trilinear_bruteforce(a, b, c, m, r, tau, s, kmax):

@@ -15,7 +15,6 @@ from gevreymhd.norms import GevreyParams
 from gevreymhd.operators import (
     MultiplierSpec,
     advect,
-    cross_gradient_curl_term,
     curl,
     inner_l2,
     lambda_apply,
@@ -45,8 +44,10 @@ from gevreymhd.spectral import (
 )
 from oracles import (
     bernoulli_tau,
+    cross_gradient_curl_term,
     rhs_curl,
     rk4_chain,
+    transform_trilinear,
     trilinear_bruteforce,
 )
 
@@ -121,7 +122,7 @@ class TestBruteForceVsTransform:
             omega = curl(st.u)
             m, r, tau, s = cases[seed % len(cases)]
             bf = trilinear_bruteforce(st.u, st.h, omega, m, r, tau, s, kmax=4)
-            fft = lab.transform_trilinear(
+            fft = transform_trilinear(
                 st.u, st.h, omega, MultiplierSpec(m=m, r=r, tau=tau, s=s)
             )
             scale = max(abs(fft), 1.0)

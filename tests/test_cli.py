@@ -264,6 +264,47 @@ def test_unusable_output_directory_is_reported_before_the_run(tmp_path):
     assert out.stdout == ""
 
 
+@pytest.mark.parametrize("key, value, written", [
+    ("series", "runs/series.csv", "runs/series.csv"),
+    ("checkpoint", "ck/state.gmhd", "ck/state.gmhd"),
+    ("spectra", "d/spec", "d/spec_final.csv"),
+])
+def test_output_file_subdirectory_is_created(tmp_path, key, value, written):
+    # Only the output directory was made, so writing the file into a
+    # subdirectory of it failed with a traceback after the run.
+    (tmp_path / "run.cfg").write_text(CFG + f"{key} = {value}\n")
+    out = run_cli(tmp_path, "run", "run.cfg")
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    assert (tmp_path / "out" / written).is_file()
+
+
+def test_unusable_output_file_directory_is_reported_before_the_run(tmp_path):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "afile").write_text("")
+    (tmp_path / "run.cfg").write_text(
+        CFG + "checkpoint = afile/state.gmhd\n")
+    out = run_cli(tmp_path, "run", "run.cfg")
+    assert out.returncode == 1
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "config error: cannot create output directory out/afile: ")
+    assert out.stdout == ""
+
+
+@pytest.mark.parametrize("name", ["", "."])
+def test_series_name_without_a_file_is_a_config_error(tmp_path, name):
+    # The series was written to the output directory itself, which ended
+    # the run with an IsADirectoryError traceback and no series.
+    (tmp_path / "run.cfg").write_text(CFG + f"series = {name}\n")
+    out = run_cli(tmp_path, "run", "run.cfg")
+    assert out.returncode == 1
+    assert out.stderr.splitlines() == [
+        f"config error: output.series must name a file: {name!r}"]
+    assert out.stdout == ""
+
+
 def series_rows(path) -> list:
     lines = path.read_text().splitlines()
     keys = lines[0].split(",")

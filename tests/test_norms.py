@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -122,13 +124,17 @@ class TestNorms:
         g = Grid(16)
         st = random_band(g, seed=23, kmax=3)
         params = GevreyParams(r=2.0, s=1.0, tau=0.1)
-        rec = state_norms(st.u, st.h, params, 1.0, 2.0)
-        assert rec.hr == pytest.approx(np.hypot(rec.hr_omega, rec.hr_current))
-        assert rec.x_norm == pytest.approx(np.hypot(rec.x_omega, rec.x_current))
+        rec = state_norms(st.u, st.h, params)
+        assert dataclasses.astuple(rec) == (rec.hr, rec.x_norm, rec.y_norm)
+        (hr_u, x_u, y_u), (hr_h, x_h, y_h) = (field_norms(st.u, params),
+                                              field_norms(st.h, params))
+        assert rec.hr == pytest.approx(np.hypot(hr_u, hr_h))
+        assert rec.x_norm == pytest.approx(np.hypot(x_u, x_h))
+        assert rec.y_norm == pytest.approx(np.hypot(y_u, y_h))
 
     def test_norm_record_rejects_nan(self):
         with pytest.raises(ValueError):
-            NormRecord(np.nan, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
+            NormRecord(np.nan, 1, 1)
 
 
 class TestWeightOverflow:
@@ -183,7 +189,7 @@ class TestNormsMatchFullArrayFormulas:
     def test_state_norms(self, s):
         omega, current = self.fields()
         params = GevreyParams(r=2.5, s=s, tau=0.3)
-        rec = state_norms(omega, current, params, 1.5, 2.5)
+        rec = state_norms(omega, current, params)
         per_field = []
         for v in (omega, current):
             per_field.append([np.sqrt(sq) for sq in (
@@ -194,13 +200,10 @@ class TestNormsMatchFullArrayFormulas:
         (hr_o, x_o, y_o), (hr_j, x_j, y_j) = per_field
         expected = {
             "hr": np.hypot(hr_o, hr_j), "x_norm": np.hypot(x_o, x_j),
-            "y_norm": np.hypot(y_o, y_j), "hr_omega": hr_o,
-            "hr_current": hr_j, "x_omega": x_o, "x_current": x_j,
-            "y_omega": y_o, "y_current": y_j,
+            "y_norm": np.hypot(y_o, y_j),
         }
         for name, value in expected.items():
             assert getattr(rec, name) == pytest.approx(value, rel=1e-13), name
-        assert (rec.grad_u_sup, rec.grad_h_sup) == (1.5, 2.5)
 
     def test_weight_overflow_raises(self):
         omega, current = self.fields()
@@ -208,7 +211,7 @@ class TestNormsMatchFullArrayFormulas:
         with pytest.raises(MultiplierError, match="overflow"):
             field_norms(omega, params)
         with pytest.raises(MultiplierError, match="overflow"):
-            state_norms(omega, current, params, 1.0, 1.0)
+            state_norms(omega, current, params)
 
 
 class TestRadiusFit:

@@ -65,6 +65,13 @@ class TestModelAndBounds:
         with pytest.raises(ValueError):
             RadiusModel(tau0=-1.0)
 
+    @pytest.mark.parametrize("name", ["C0", "C1"])
+    def test_lower_bound_coefficients_are_not_arguments(self, name):
+        # populate_from_initial, which the first track calls, overwrote a
+        # passed C0 or C1, so accepting one only hid that it was ignored.
+        with pytest.raises(TypeError):
+            RadiusModel(C=1.0, tau0=0.1, **{name: 5.0})
+
     def test_populate_from_initial(self):
         m = RadiusModel(C=2.0, tau0=0.5).populate_from_initial(hr0=3.0, x0=4.0)
         assert m.C0 == pytest.approx(2.0 * 7.0)

@@ -8,7 +8,6 @@ import pytest
 from gevreymhd.norms import GevreyParams, SubcriticalWarning
 from gevreymhd.operators import (
     advect,
-    cross_gradient_curl_term,
     curl,
     gradient_physical,
     inner_l2,
@@ -37,6 +36,7 @@ from gevreymhd.spectral import (
     to_physical,
 )
 from oracles import (
+    cross_gradient_curl_term,
     cumulative_integral,
     gronwall_majorant,
     reference_run,
@@ -429,7 +429,9 @@ class TestConservation:
 class TestRunLoop:
     def test_run_produces_expected_samples(self):
         st = taylor_green_mhd(Grid(16))
-        res = run(st, params=smooth_params(), t_end=0.1, dt=0.01, cadence=5)
+        with pytest.warns(SubcriticalWarning):
+            res = run(st, params=smooth_params(), t_end=0.1, dt=0.01,
+                      cadence=5)
         assert res.status == "completed"
         assert len(res.records) == 3  # t = 0, 0.05, 0.1
         assert res.records[-1].t == pytest.approx(0.1)
@@ -443,7 +445,9 @@ class TestRunLoop:
 
     def test_tau_decreases_and_dominates_lower_bound(self):
         st = taylor_green_mhd(Grid(16))
-        res = run(st, params=smooth_params(), t_end=0.1, dt=0.01, cadence=2)
+        with pytest.warns(SubcriticalWarning):
+            res = run(st, params=smooth_params(), t_end=0.1, dt=0.01,
+                      cadence=2)
         records = tracked(res.records, RadiusModel(C=1.0, tau0=0.1))
         taus = [rec.tau for rec in records]
         assert all(b < a for a, b in zip(taus, taus[1:]))
@@ -455,13 +459,17 @@ class TestRunLoop:
         # Taylor-Green sup norms decay slightly, so a factor just below the
         # first sampled ratio flags immediately
         monkeypatch.setattr(solver, "BLOWUP_FACTOR", 0.99)
-        res = run(st, params=smooth_params(), t_end=0.1, dt=0.01, cadence=1)
+        with pytest.warns(SubcriticalWarning):
+            res = run(st, params=smooth_params(), t_end=0.1, dt=0.01,
+                      cadence=1)
         assert res.status == "blow-up"
         assert len(res.records) == 2
 
     def test_retracking_preserves_physics_columns(self):
         st = taylor_green_mhd(Grid(16))
-        res = run(st, params=smooth_params(), t_end=0.1, dt=0.01, cadence=5)
+        with pytest.warns(SubcriticalWarning):
+            res = run(st, params=smooth_params(), t_end=0.1, dt=0.01,
+                      cadence=5)
         first = tracked(res.records, RadiusModel(C=1.0, tau0=0.1))
         redone = tracked(first, RadiusModel(C=0.5, tau0=0.1))
         assert [r.t for r in redone] == [r.t for r in res.records]
@@ -473,7 +481,9 @@ class TestRunLoop:
 
     def test_tracker_equals_whole_history_pipeline(self):
         st = taylor_green_mhd(Grid(16))
-        res = run(st, params=smooth_params(), t_end=0.1, dt=0.01, cadence=1)
+        with pytest.warns(SubcriticalWarning):
+            res = run(st, params=smooth_params(), t_end=0.1, dt=0.01,
+                      cadence=1)
         for C in (1.0, 0.5):
             records = tracked(res.records, RadiusModel(C=C, tau0=0.1))
             model = RadiusModel(C=C, tau0=0.1)
@@ -527,7 +537,9 @@ class TestRunLoop:
         # exp(C I(t)) overflows, which turned tau into NaN without a collapse
         # and numpy's overflow warnings reached the user ahead of the status
         st = taylor_green_mhd(Grid(16))
-        res = run(st, params=smooth_params(), t_end=0.5, dt=0.01, cadence=2)
+        with pytest.warns(SubcriticalWarning):
+            res = run(st, params=smooth_params(), t_end=0.5, dt=0.01,
+                      cadence=2)
         tracker = RadiusTracker(RadiusModel(C=3e4, tau0=0.1))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
