@@ -77,9 +77,9 @@ def save_checkpoint(path, state: MHDState, params: GevreyParams,
 def load_checkpoint(path) -> tuple:
     """Read a checkpoint; returns (state, params_with_tau0, tau).
 
-    The header's grid size and (t, r, s, tau) are validated and the file size
-    checked against the header before the fields are read straight into the
-    arrays the state keeps; each field must then be finite, Hermitian and
+    The header's grid size and (t, r, s, tau > 0) are validated and the file
+    size checked against the header before the fields are read straight into
+    the arrays the state keeps; each field must then be finite, Hermitian and
     solenoidal to roundoff.
     """
     path = Path(path)
@@ -109,6 +109,8 @@ def load_checkpoint(path) -> tuple:
             params = GevreyParams(r=r, s=s, tau=tau)
         except ValueError as exc:
             raise CheckpointError(f"bad checkpoint header: {exc}") from None
+        if tau <= 0:  # a run writes its tracked radius, at least 1e-300
+            raise CheckpointError("bad checkpoint header: tau must be > 0")
         expected = _HEADER.size + 2 * 3 * n**3 * 16
         if size != expected:
             raise CheckpointError(

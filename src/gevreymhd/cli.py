@@ -23,7 +23,7 @@ from .norms import (
     shell_spectrum,
 )
 from .operators import MultiplierSpec, curl
-from .radius import RadiusModel, RadiusTracker, estimate_C_tilde
+from .radius import RadiusTracker, estimate_C_tilde
 from .solver import run
 from .spectral import (Grid, init_state, random_band, random_band_field,
                        taylor_green_mhd)
@@ -70,12 +70,15 @@ def _execute_run(config, config_path: str, state, tau0: float) -> int:
     series = out / config.series
     spectrum = config.spectra and out / f"{config.spectra}_final.csv"
     checkpoint = config.checkpoint and out / config.checkpoint
-    try:  # before the run, so a bad path does not cost the run
-        for path in filter(None, (series, spectrum, checkpoint)):
+    for path in filter(None, (series, spectrum, checkpoint)):
+        # Before the run, so a bad path does not cost the run.
+        if path.is_dir():
+            raise ConfigError(f"output file {path} is a directory")
+        try:
             path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(
-            f"cannot create output directory {path.parent}: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory "
+                              f"{path.parent}: {exc}") from exc
     with warnings.catch_warnings():
         warnings.showwarning = show_warning
         # A line on stderr, also where the caller's filters raise warnings.
@@ -96,7 +99,7 @@ def _execute_run(config, config_path: str, state, tau0: float) -> int:
         else:
             c = max(2.0 * c_tilde, 1e-6)
             print(f"fitted constants: C_tilde={c_tilde:.6g} C={c:.6g}")
-    tracker = RadiusTracker(RadiusModel(C=c, tau0=tau0))
+    tracker = RadiusTracker(C=c, tau0=tau0)
     records = [tracker.track(rec) for rec in records]
     status = result.status
     if status == "completed" and tracker.collapsed:

@@ -85,6 +85,9 @@ class RunConfig:
             errors.append(f"radius.c must be > 0, got {self.c}")
         if not Path(self.series).name:  # "", "." or "/" name no file
             errors.append(f"output.series must name a file: {self.series!r}")
+        if self.checkpoint and not Path(self.checkpoint).name:  # "": none
+            errors.append(
+                f"output.checkpoint must name a file: {self.checkpoint!r}")
         if errors:
             raise ConfigError("; ".join(errors))
         self.params = GevreyParams(r=self.r, s=self.s, tau=self.tau0)

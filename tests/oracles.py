@@ -3,19 +3,19 @@
 Most of this deliberately avoids the package's FFT/vectorized code paths:
 plain python loops over explicit mode dictionaries, quadrature sums over
 collocation samples, norm weights built as full (n, n, n) arrays, and the
-whole-history radius pipeline (cumulative I(t), the Gronwall majorant M(t)
-and the Bernoulli closed form) that `solver.run` and RadiusTracker compute
-one sample at a time.  rk4_chain is the one driver here: it steps the
-package's one-interval radius kernel across a sampled history.  The last
-seven functions are test-side compositions of package kernels that the
-package itself never calls: the vorticity/current tendency of a primitive
-state as the rows of `lab.CURL_TERMS` through `operators.advect`, the
-weighted trilinear form through `advect` (transform_trilinear), the cross
-gradient term E(u, h) - E(h, u) from the two gradient tensors of u and h
-(cross_gradient_curl_term), the brute-force trilinear form, a run loop
-that transforms every state once per use, the balance terms as one
-transform_trilinear per row, and the energy balance check with a half step
-and a full step per dt.
+whole-history radius pipeline (cumulative I(t), the Gronwall majorant M(t),
+the explicit lower bound and the Bernoulli closed form) that `solver.run`
+and RadiusTracker compute one sample at a time.  rk4_chain is the one
+driver here: it steps the package's one-interval radius kernel across a
+sampled history.  The last seven functions are test-side compositions of
+package kernels that the package itself never calls: the vorticity/current
+tendency of a primitive state as the rows of `lab.CURL_TERMS` through
+`operators.advect`, the weighted trilinear form through `advect`
+(transform_trilinear), the cross gradient term E(u, h) - E(h, u) from the
+two gradient tensors of u and h (cross_gradient_curl_term), the
+brute-force trilinear form, a run loop that transforms every state once
+per use, the balance terms as one transform_trilinear per row, and the
+energy balance check with a half step and a full step per dt.
 """
 
 from dataclasses import replace
@@ -183,6 +183,23 @@ def gronwall_majorant(times, hr_series, grad_integral, C: float,
     G = np.exp(C * integral)
     inner = cumulative_integral(times, hr**2 / G)
     return G * (x0 + C * (1.0 + tau0) * inner)
+
+
+def lower_bound(times, integral, C: float, tau0: float, hr0: float,
+                x0: float) -> list:
+    """exp(-C I(t)) / (1/tau0 + C0 t + C1 t^2 / 2) at each sample.
+
+    t counts from the first sample, whose norms give C0 = C (hr0 + x0) and
+    C1 = C^2 (1 + tau0) hr0^2.
+    """
+    C0 = C * (hr0 + x0)
+    C1 = C * C * (1.0 + tau0) * hr0**2
+    out = []
+    for t, value in zip(times, integral):
+        t = t - times[0]
+        denom = 1.0 / tau0 + C0 * t + 0.5 * C1 * t * t
+        out.append(float(np.exp(-C * value) / denom))
+    return out
 
 
 def rk4_chain(times, a_series, b_series, tau0: float) -> np.ndarray:

@@ -19,13 +19,9 @@ from gevreymhd.operators import (
     inner_l2,
     lambda_apply,
 )
-from gevreymhd.radius import (
-    RadiusModel,
-    RadiusTracker,
-    estimate_C_tilde,
-    radius_lower_bound,
-)
+from gevreymhd.radius import RadiusTracker, estimate_C_tilde
 from gevreymhd.solver import (
+    _sample_diagnostics,
     cfl_timestep,
     cross_helicity,
     energy,
@@ -164,16 +160,6 @@ class TestScalarSweeps:
         assert np.isfinite(reports["mean_value"].empirical_C)
 
 
-@pytest.fixture(scope="module")
-def evolved():
-    st = taylor_green_mhd(Grid(32))
-    dt = cfl_timestep(st, cfl=0.5)
-    cur = st
-    for _ in range(100):
-        cur = step_rk4(cur, dt)
-    return st, cur
-
-
 class TestSolverPhysics:
     """Taylor-Green at 32^3, CFL 0.5, 100 steps."""
 
@@ -304,8 +290,11 @@ class TestRadiusMachinery:
         np.testing.assert_allclose(taus, 1.0 / (1.0 + times), rtol=1e-8)
 
     def test_lower_bound_initial_value(self):
-        m = RadiusModel(C=1.0, tau0=0.42).populate_from_initial(1.0, 2.0)
-        assert radius_lower_bound(0.0, m, 0.0) == 0.42
+        # The first record takes tau0; a second at the same time and zero
+        # gradient integral gets it from the bound's formula, 1/(1/tau0).
+        rec = _sample_diagnostics(taylor_green_mhd(Grid(8)), smooth_params())
+        tracker = RadiusTracker(C=1.0, tau0=0.42)
+        assert [tracker.track(rec).tau_lower for _ in range(2)] == [0.42] * 2
 
     def test_tracked_radius_run(self):
         # smooth data: fill the whole dealiased band and impose a genuine
@@ -323,7 +312,7 @@ class TestRadiusMachinery:
             res = run(st, params=smooth_params(tau=0.2), t_end=0.5, dt=0.01,
                       cadence=5)
         assert res.status == "completed"
-        tracker = RadiusTracker(RadiusModel(C=1.0, tau0=0.2))
+        tracker = RadiusTracker(C=1.0, tau0=0.2)
         records = [tracker.track(rec) for rec in res.records]
         taus = [rec.tau for rec in records]
         assert all(b < a for a, b in zip(taus, taus[1:]))

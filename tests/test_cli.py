@@ -293,15 +293,39 @@ def test_unusable_output_file_directory_is_reported_before_the_run(tmp_path):
     assert out.stdout == ""
 
 
-@pytest.mark.parametrize("name", ["", "."])
-def test_series_name_without_a_file_is_a_config_error(tmp_path, name):
-    # The series was written to the output directory itself, which ended
-    # the run with an IsADirectoryError traceback and no series.
-    (tmp_path / "run.cfg").write_text(CFG + f"series = {name}\n")
+@pytest.mark.parametrize("key, name", [
+    pytest.param("series", "", id=""),
+    pytest.param("series", ".", id="."),
+    pytest.param("checkpoint", ".", id="checkpoint-."),
+])
+def test_series_name_without_a_file_is_a_config_error(tmp_path, key, name):
+    # The file was written to the output directory itself, which ended the
+    # run with an IsADirectoryError traceback and no output; checkpoint "."
+    # also left its temporary file beside the output directory.
+    (tmp_path / "run.cfg").write_text(CFG + f"{key} = {name}\n")
     out = run_cli(tmp_path, "run", "run.cfg")
     assert out.returncode == 1
     assert out.stderr.splitlines() == [
-        f"config error: output.series must name a file: {name!r}"]
+        f"config error: output.{key} must name a file: {name!r}"]
+    assert out.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("key, value, existing", [
+    ("series", "runs", "runs"),
+    ("checkpoint", "ck", "ck"),
+    ("spectra", "sp", "sp_final.csv"),
+])
+def test_output_file_that_is_a_directory_is_reported_before_the_run(
+        tmp_path, key, value, existing):
+    # The run went to t_end, then writing the file ended it with an
+    # IsADirectoryError traceback.
+    (tmp_path / "out" / existing).mkdir(parents=True)
+    (tmp_path / "run.cfg").write_text(CFG + f"{key} = {value}\n")
+    out = run_cli(tmp_path, "run", "run.cfg")
+    assert out.returncode == 1
+    assert out.stderr.splitlines() == [
+        f"config error: output file out/{existing} is a directory"]
     assert out.stdout == ""
 
 

@@ -156,6 +156,7 @@ class TestCheckpoint:
         (dict(r=float("nan")), "non-finite"),
         (dict(tau=float("inf")), "non-finite"),
         (dict(t=float("nan")), "non-finite"),
+        (dict(tau=0.0), "tau must be > 0"),
     ])
     def test_header_values_rejected(self, tmp_path, values, match):
         # Each file is the size its header asks for, so only the values

@@ -1,20 +1,23 @@
 import numpy as np
 import pytest
 
-from gevreymhd.radius import (
-    RadiusCollapse,
-    RadiusModel,
-    _rk4_interval,
-    estimate_C_tilde,
-    radius_lower_bound,
-    radius_rhs,
-)
+from gevreymhd.norms import NormRecord
+from gevreymhd.radius import RadiusTracker, _rk4_interval, estimate_C_tilde
+from gevreymhd.solver import DiagnosticsRecord
 from oracles import (
     bernoulli_tau,
     cumulative_integral,
     gronwall_majorant,
     rk4_chain,
 )
+
+
+def record(t, hr, x_norm, grad_sum=0.0, grad_integral=0.0):
+    """A diagnostics record with only what RadiusTracker reads set."""
+    return DiagnosticsRecord(
+        t=t, energy=0.0, cross_helicity=0.0, bkm_integrand=0.0,
+        grad_sum=grad_sum, norms=NormRecord(hr, x_norm, x_norm),
+        tau_fit=float("nan"), grad_integral=grad_integral)
 
 
 class TestClosedForms:
@@ -31,7 +34,7 @@ class TestClosedForms:
 
     def test_rhs_rejects_negative_coefficients(self):
         with pytest.raises(ValueError):
-            radius_rhs(1.0, -0.1, 0.0)
+            _rk4_interval(1.0, 0.0, 1.0, 1.0, 1.0, -0.1, 0.0)
 
     def test_integrator_matches_bernoulli(self):
         a, b, tau0 = 1.3, 2.0, 0.7
@@ -47,9 +50,10 @@ class TestClosedForms:
         np.testing.assert_allclose(taus, 1.0 / (1.0 + times), rtol=1e-8)
 
     def test_integrator_collapse(self):
-        times = np.linspace(0.0, 200.0, 401)
-        with pytest.raises(RadiusCollapse):
-            rk4_chain(times, np.full(401, 5.0), np.zeros(401), 1e-150)
+        # Each substep here multiplies tau by about exp(-0.2), and the
+        # integration stops at the first one that is not above 1e-300.
+        tau = _rk4_interval(1e-150, 0.0, 200.0, 5.0, 5.0, 0.0, 0.0)
+        assert 0.8e-300 < tau <= 1e-300
 
     def test_integrator_input_validation(self):
         with pytest.raises(ValueError):
@@ -61,42 +65,48 @@ class TestClosedForms:
 class TestModelAndBounds:
     def test_model_validation(self):
         with pytest.raises(ValueError):
-            RadiusModel(C=0.0)
+            RadiusTracker(C=0.0, tau0=1.0)
         with pytest.raises(ValueError):
-            RadiusModel(tau0=-1.0)
+            RadiusTracker(C=1.0, tau0=-1.0)
 
     @pytest.mark.parametrize("name", ["C0", "C1"])
     def test_lower_bound_coefficients_are_not_arguments(self, name):
-        # populate_from_initial, which the first track calls, overwrote a
-        # passed C0 or C1, so accepting one only hid that it was ignored.
+        # The first track sets C0 and C1 from its norms, so accepting one
+        # would only hide that it was ignored.
         with pytest.raises(TypeError):
-            RadiusModel(C=1.0, tau0=0.1, **{name: 5.0})
+            RadiusTracker(C=1.0, tau0=0.1, **{name: 5.0})
 
     def test_populate_from_initial(self):
-        m = RadiusModel(C=2.0, tau0=0.5).populate_from_initial(hr0=3.0, x0=4.0)
-        assert m.C0 == pytest.approx(2.0 * 7.0)
-        assert m.C1 == pytest.approx(4.0 * 1.5 * 9.0)
+        tracker = RadiusTracker(C=2.0, tau0=0.5)
+        tracker.track(record(0.0, hr=3.0, x_norm=4.0))
+        assert tracker.C0 == pytest.approx(2.0 * 7.0)
+        assert tracker.C1 == pytest.approx(4.0 * 1.5 * 9.0)
 
     def test_lower_bound_at_zero_is_tau0(self):
-        m = RadiusModel(C=1.0, tau0=0.37).populate_from_initial(2.0, 1.0)
-        assert radius_lower_bound(0.0, m, 0.0) == 0.37
+        # The first record takes tau0 itself; a later one at zero elapsed
+        # time and zero gradient integral gets 1/(1/tau0) from the formula.
+        tracker = RadiusTracker(C=1.0, tau0=0.37)
+        for _ in range(2):
+            rec = tracker.track(record(0.0, hr=2.0, x_norm=1.0))
+            assert rec.tau_lower == rec.tau == 0.37
 
     def test_lower_bound_below_tracked_tau_constant_coefficients(self):
         # frozen norms: hr(t) = hr0, grad = g; the bound must sit below the
         # integrated radius when C dominates the (here zero) growth constant
-        hr0, x0, g = 2.0, 1.0, 0.8
-        model = RadiusModel(C=1.0, tau0=0.5).populate_from_initial(hr0, x0)
+        hr0, x0, g, C, tau0 = 2.0, 1.0, 0.8, 1.0, 0.5
+        tracker = RadiusTracker(C=C, tau0=tau0)
         times = np.linspace(0.0, 1.0, 101)
         integral = cumulative_integral(times, np.full(101, g))
         maj = gronwall_majorant(times, np.full(101, hr0), integral,
-                                model.C, model.tau0, x0)
-        a = model.C * np.full(101, g)
-        b = model.C * (np.full(101, hr0) + maj)
-        taus = rk4_chain(times, a, b, model.tau0)
+                                C, tau0, x0)
+        a = C * np.full(101, g)
+        b = C * (np.full(101, hr0) + maj)
+        taus = rk4_chain(times, a, b, tau0)
         for i, t in enumerate(times):
-            assert radius_lower_bound(t, model, float(integral[i])) <= (
-                taus[i] * (1.0 + 1e-9)
-            )
+            rec = tracker.track(record(float(t), hr0, x0, g,
+                                       float(integral[i])))
+            assert rec.tau == pytest.approx(taus[i], rel=1e-12)
+            assert rec.tau_lower <= taus[i] * (1.0 + 1e-9)
 
 
 class TestSeriesUtilities:

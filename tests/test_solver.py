@@ -13,7 +13,7 @@ from gevreymhd.operators import (
     inner_l2,
 )
 from gevreymhd import norms, solver, spectral
-from gevreymhd.radius import RadiusModel, RadiusTracker, radius_lower_bound
+from gevreymhd.radius import RadiusTracker
 from gevreymhd.solver import (
     StepError,
     _sample_diagnostics,
@@ -39,6 +39,7 @@ from oracles import (
     cross_gradient_curl_term,
     cumulative_integral,
     gronwall_majorant,
+    lower_bound,
     reference_run,
     rhs_curl,
     rk4_chain,
@@ -311,9 +312,9 @@ class TestMemory:
         assert traced_peak_fields(call, 64) <= 10.3
 
 
-def tracked(records, model) -> list:
+def tracked(records, **constants) -> list:
     """The records with tau and tau_lower from one RadiusTracker pass."""
-    tracker = RadiusTracker(model)
+    tracker = RadiusTracker(**constants)
     return [tracker.track(rec) for rec in records]
 
 
@@ -448,7 +449,7 @@ class TestRunLoop:
         with pytest.warns(SubcriticalWarning):
             res = run(st, params=smooth_params(), t_end=0.1, dt=0.01,
                       cadence=2)
-        records = tracked(res.records, RadiusModel(C=1.0, tau0=0.1))
+        records = tracked(res.records, C=1.0, tau0=0.1)
         taus = [rec.tau for rec in records]
         assert all(b < a for a, b in zip(taus, taus[1:]))
         for rec in records:
@@ -470,8 +471,8 @@ class TestRunLoop:
         with pytest.warns(SubcriticalWarning):
             res = run(st, params=smooth_params(), t_end=0.1, dt=0.01,
                       cadence=5)
-        first = tracked(res.records, RadiusModel(C=1.0, tau0=0.1))
-        redone = tracked(first, RadiusModel(C=0.5, tau0=0.1))
+        first = tracked(res.records, C=1.0, tau0=0.1)
+        redone = tracked(first, C=0.5, tau0=0.1)
         assert [r.t for r in redone] == [r.t for r in res.records]
         assert [r.energy for r in redone] == [r.energy for r in res.records]
         assert ([r.grad_integral for r in redone]
@@ -485,10 +486,8 @@ class TestRunLoop:
             res = run(st, params=smooth_params(), t_end=0.1, dt=0.01,
                       cadence=1)
         for C in (1.0, 0.5):
-            records = tracked(res.records, RadiusModel(C=C, tau0=0.1))
-            model = RadiusModel(C=C, tau0=0.1)
+            records = tracked(res.records, C=C, tau0=0.1)
             first = records[0].norms
-            model.populate_from_initial(first.hr, first.x_norm)
             times = [rec.t for rec in records]
             grads = [rec.grad_sum for rec in records]
             hrs = [rec.norms.hr for rec in records]
@@ -499,9 +498,8 @@ class TestRunLoop:
                              C * (np.asarray(hrs) + majorant), 0.1)
             assert [rec.grad_integral for rec in records] == list(integral)
             assert [rec.tau for rec in records] == list(taus)
-            lower = [radius_lower_bound(t - times[0], model, I)
-                     for t, I in zip(times, integral)]
-            assert [rec.tau_lower for rec in records] == lower
+            assert [rec.tau_lower for rec in records] == lower_bound(
+                times, integral, C, 0.1, first.hr, first.x_norm)
 
     def test_completed_run_ends_with_a_record_of_its_state(self):
         # t_end > 1: the last step lands within 1e-12 t_end of t_end, but
@@ -540,7 +538,7 @@ class TestRunLoop:
         with pytest.warns(SubcriticalWarning):
             res = run(st, params=smooth_params(), t_end=0.5, dt=0.01,
                       cadence=2)
-        tracker = RadiusTracker(RadiusModel(C=3e4, tau0=0.1))
+        tracker = RadiusTracker(C=3e4, tau0=0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             records = [tracker.track(rec) for rec in res.records]
