@@ -55,6 +55,12 @@ def _check_payload(name: str, field: SpectralField) -> None:
             )
 
 
+def temporary_path(path) -> Path:
+    """The file `save_checkpoint` writes before renaming it to path."""
+    path = Path(path)
+    return path.with_suffix(path.suffix + ".tmp")
+
+
 def save_checkpoint(path, state: MHDState, params: GevreyParams,
                     tau: float) -> None:
     """Write state plus (r, s, tau) to path; overwrites atomically.
@@ -66,7 +72,7 @@ def save_checkpoint(path, state: MHDState, params: GevreyParams,
     path = Path(path)
     n = state.grid.n
     header = _HEADER.pack(MAGIC, VERSION, n, state.t, params.r, params.s, tau)
-    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp = temporary_path(path)
     with open(tmp, "wb") as fh:
         fh.write(header)
         for f in (state.u, state.h):

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import (CheckpointError, load_checkpoint, save_checkpoint,
+                         temporary_path)
 from .config import ConfigError, load_config
 from .norms import (
     RadiusFitError,
@@ -70,7 +71,10 @@ def _execute_run(config, config_path: str, state, tau0: float) -> int:
     series = out / config.series
     spectrum = config.spectra and out / f"{config.spectra}_final.csv"
     checkpoint = config.checkpoint and out / config.checkpoint
-    for path in filter(None, (series, spectrum, checkpoint)):
+    # The checkpoint is written to its temporary file first.
+    written = (series, spectrum, checkpoint,
+               checkpoint and temporary_path(checkpoint))
+    for path in filter(None, written):
         # Before the run, so a bad path does not cost the run.
         if path.is_dir():
             raise ConfigError(f"output file {path} is a directory")

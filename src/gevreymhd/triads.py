@@ -23,9 +23,11 @@ not.  The reduction order is fixed by the code and the BLAS build, so
 residuals are reproducible for a given numpy/BLAS build and thread count.
 """
 
+import functools
+
 import numpy as np
 
-from .spectral import SpectralField
+from .spectral import Grid, SpectralField
 
 MAX_BRUTE_KMAX = 6
 HERMITIAN_RTOL = 1e-12  # a cube's defect, relative to its largest entry
@@ -35,11 +37,21 @@ class BandError(ValueError):
     """Field content outside the requested brute-force band."""
 
 
+@functools.lru_cache(maxsize=8)
+def _outside_band(n: int, kmax: int) -> np.ndarray:
+    """Read-only (n, n, n) mask of the modes with some |k_i| > kmax."""
+    outside = ~Grid(n).band_mask(kmax)
+    outside.flags.writeable = False
+    return outside
+
+
 def extract_band(v: SpectralField, kmax: int) -> np.ndarray:
     """Dense (3, 2K+1, 2K+1, 2K+1) coefficient cube over |k_i| <= kmax.
 
     Index [c, k1+K, k2+K, k3+K] holds component c at wavevector k.  Content
-    outside the band raises.
+    outside the band raises.  The largest |v_hat| over all modes and over
+    those outside the band both come from one |v_hat| array, the second
+    masked by an out-of-band mask kept per (n, kmax).
     """
     if kmax > MAX_BRUTE_KMAX:
         nmodes = (2 * kmax + 1) ** 3
@@ -47,9 +59,10 @@ def extract_band(v: SpectralField, kmax: int) -> np.ndarray:
             f"kmax={kmax} exceeds the brute-force cap {MAX_BRUTE_KMAX} "
             f"(~{nmodes**2:.2e} mode pairs)"
         )
-    outside = ~v.grid.band_mask(kmax)
-    leak = float(np.max(np.abs(v.coeffs[:, outside]))) if outside.any() else 0.0
-    if leak > 1e-13 * max(v.max_amplitude(), 1.0):
+    amp = np.abs(v.coeffs).max(axis=0)
+    leak = float(np.max(amp, where=_outside_band(v.grid.n, kmax),
+                        initial=0.0))
+    if leak > 1e-13 * max(float(np.max(amp)), 1.0):
         raise BandError(
             f"field has content outside |k_i| <= {kmax} (max {leak:.3e})"
         )
@@ -87,15 +100,18 @@ def pair_marginal(A: np.ndarray, B: np.ndarray, C: np.ndarray, K: int,
     kline = np.arange(-K, K + 1)
     q1 = np.repeat(kline, size)
     q2 = np.tile(kline, size)
-    # Flat index of -(p + q) in a zero-padded (4K+1)^2 plane centred on 2K,
-    # so cpad[l_m + K][gather[p, q]] = c_{(l_m, -(p+q))}, or 0 off the band.
+    # Flat index of component e at -(p + q) in a zero-padded (4K+1)^2 plane
+    # centred on 2K, components innermost, so that
+    # cpad[l_m + K][gather[p, 3q + e]] = c^e_{(l_m, -(p+q))}, or 0 off the
+    # band: one take per slab gathers its whole block.
     wide = 4 * K + 1
     gather = ((2 * K - q1[:, None] - q1[None, :]) * wide
               + (2 * K - q2[:, None] - q2[None, :]))
+    gather = (3 * gather[:, :, None] + np.arange(3)).reshape(plane, 3 * plane)
     cpad = np.zeros((size, wide, wide, 3), dtype=np.complex128)
     cpad[:, K:3 * K + 1, K:3 * K + 1] = (
         c.transpose(1, 2, 0).reshape(size, size, size, 3))
-    cpad = cpad.reshape(size, wide * wide, 3)
+    cpad = cpad.reshape(size, wide * wide * 3)
     # kb[k_m, d, q, e] = k_d b^e_k with k = (k_m, q).
     kvec = np.empty((3, size, plane))
     kvec[m - 1] = kline[:, None]
@@ -112,7 +128,7 @@ def pair_marginal(A: np.ndarray, B: np.ndarray, C: np.ndarray, K: int,
         jm = np.arange(-K, K - lm + 1)
         km = -lm - jm
         # t[j_m, d, q, e] = sum_p a^d_{(j_m, p)} c^e_{(l_m, -(p+q))}
-        block = cpad[lm + K][gather].reshape(plane, plane * 3)
+        block = cpad[lm + K].take(gather)
         t = (amat[:3 * len(jm)] @ block).reshape(len(jm), 9 * plane)
         P[jm + K, km + K] = np.einsum("ix,ix->i", t, kb[km + K])
     # The pairs with l_m < 0, mirrored from those with -l_m.

@@ -7,15 +7,16 @@ whole-history radius pipeline (cumulative I(t), the Gronwall majorant M(t),
 the explicit lower bound and the Bernoulli closed form) that `solver.run`
 and RadiusTracker compute one sample at a time.  rk4_chain is the one
 driver here: it steps the package's one-interval radius kernel across a
-sampled history.  The last seven functions are test-side compositions of
+sampled history.  The last eight functions are test-side compositions of
 package kernels that the package itself never calls: the vorticity/current
 tendency of a primitive state as the rows of `lab.CURL_TERMS` through
 `operators.advect`, the weighted trilinear form through `advect`
 (transform_trilinear), the cross gradient term E(u, h) - E(h, u) from the
 two gradient tensors of u and h (cross_gradient_curl_term), the
 brute-force trilinear form, a run loop that transforms every state once
-per use, the balance terms as one transform_trilinear per row, and the
-energy balance check with a half step and a full step per dt.
+per use, the balance terms as one transform_trilinear per row, the
+energy balance check with a half step and a full step per dt, and the
+lemma constants with an advect per row and a weight array per m.
 """
 
 from dataclasses import replace
@@ -28,10 +29,13 @@ from gevreymhd.lab import (
     CURL_TERMS,
     TINY,
     _curl_norm_sq,
+    _lemma_rhs,
     weighted_inner,
 )
+from gevreymhd.norms import GevreyParams, sup_gradient
 from gevreymhd.operators import (
     advect,
+    biot_savart,
     cross_gradient_samples,
     curl,
     gradient_physical,
@@ -329,3 +333,30 @@ def energy_balance_reference(state, spec, dt_values, tau_dot=0.0):
         if defects[i + 1] > 0
     ]
     return {"dt": list(dt_values), "defects": defects, "orders": orders}
+
+
+def estimate_constant_reference(lemma, samples, spec):
+    """lab.estimate_constant with an advect per row, a sup_gradient each for
+    u and h, and a weighted_inner, which builds its weights, per row and m:
+    42 inverse component transforms per sample."""
+    params = GevreyParams(r=spec.r, s=spec.s, tau=spec.tau)
+    rows = [row for row in CURL_TERMS if row[4] == lemma]
+    sup, used = 0.0, 0
+    for omega, current in samples:
+        fields = {"u": biot_savart(omega), "h": biot_savart(current),
+                  "omega": omega, "current": current}
+        terms = [(sign, advect(fields[a], fields[b]), fields[c])
+                 for a, b, c, sign, _ in rows]
+        rhs = _lemma_rhs(lemma, omega, current, params,
+                         sup_gradient(fields["u"])[0],
+                         sup_gradient(fields["h"])[0])
+        for m in (1, 2, 3):
+            t1, t2 = (sign * weighted_inner(prod, c, replace(spec, m=m))
+                      for sign, prod, c in terms)
+            lhs = abs(t1 + t2) if lemma == "3.21" else abs(t1) + abs(t2)
+            if lhs == 0.0 and rhs == 0.0:
+                continue
+            sup = max(sup, lhs / rhs)
+            used += 1
+    assert used
+    return float(sup)

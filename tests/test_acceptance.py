@@ -10,7 +10,7 @@ import pytest
 
 from gevreymhd import lab
 from gevreymhd.cli import main as cli_main
-from gevreymhd.checkpoint import load_checkpoint, save_checkpoint
+from gevreymhd.checkpoint import load_checkpoint
 from gevreymhd.norms import GevreyParams
 from gevreymhd.operators import (
     MultiplierSpec,
@@ -32,7 +32,6 @@ from gevreymhd.solver import (
 from gevreymhd.spectral import (
     Grid,
     MHDState,
-    SpectralField,
     mode_field,
     random_band,
     random_band_field,

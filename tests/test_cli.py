@@ -314,6 +314,7 @@ def test_series_name_without_a_file_is_a_config_error(tmp_path, key, name):
 @pytest.mark.parametrize("key, value, existing", [
     ("series", "runs", "runs"),
     ("checkpoint", "ck", "ck"),
+    ("checkpoint", "ck", "ck.tmp"),
     ("spectra", "sp", "sp_final.csv"),
 ])
 def test_output_file_that_is_a_directory_is_reported_before_the_run(

@@ -1,6 +1,7 @@
 """The package imports nothing beyond the standard library and its declared
 dependencies (numpy, as pyproject.toml lists), the CLI starts without the
-verification lab, and the solver loads without the radius tracker."""
+verification lab, the solver loads without the radius tracker, and no module
+of the package or its tests imports a name it never reads."""
 
 import ast
 import os
@@ -48,3 +49,28 @@ def test_solver_loads_no_radius_module():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_no_unused_imports():
+    # A name counts as read where it appears as a name, as the base of an
+    # attribute, or as a parameter name, which is how pytest hands a test
+    # its fixtures; the package's __init__.py re-exports what it imports.
+    tests = Path(__file__).resolve().parent
+    unused = []
+    for path in sorted([*SRC.glob("*.py"), *tests.glob("*.py")]):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported, read = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(name, node.lineno)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.arg):
+                read.add(node.arg)
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in imported.items() if name not in read]
+    assert unused == []

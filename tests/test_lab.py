@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
-from gevreymhd import lab, operators
+from gevreymhd import lab, operators, solver
 from gevreymhd.operators import MultiplierSpec, curl
 from gevreymhd.spectral import (
     Grid,
-    MHDState,
     SpectralField,
     mode_field,
     random_band,
     random_band_field,
     taylor_green_mhd,
 )
-from oracles import balance_terms_reference, energy_balance_reference
+from oracles import (
+    balance_terms_reference,
+    energy_balance_reference,
+    estimate_constant_reference,
+)
 from test_solver import counted_calls, traced_peak_fields
 
 
@@ -211,15 +214,21 @@ class TestEnergyBalance:
     ])
     def test_each_step_length_stepped_once(self, dts, tau_dot, steps,
                                            monkeypatch):
-        # A half step that is another dt's full step is stepped once; the
-        # outcome equals bit for bit a half and a full step per dt.
+        # A half step that is another dt's full step is stepped once, and
+        # the steps share the first stage of the state they all start from;
+        # the outcome equals bit for bit a half and a full step per dt,
+        # each with its own first stage.
         state = random_band(Grid(16), seed=3, kmax=4, amplitude=0.3)
         spec = MultiplierSpec(m=2, r=1.5, tau=0.1, s=1.5)
         expected = energy_balance_reference(state, spec, dts, tau_dot)
-        calls = [0]
+        calls, stages = [0], [0]
         monkeypatch.setattr(lab, "step_rk4", counted_calls(lab.step_rk4, calls))
+        rhs = counted_calls(solver.rhs_primitive, stages)
+        monkeypatch.setattr(lab, "rhs_primitive", rhs)
+        monkeypatch.setattr(solver, "rhs_primitive", rhs)
         assert lab.energy_balance_check(state, spec, dts, tau_dot) == expected
         assert calls[0] == steps
+        assert stages[0] == 1 + 3 * steps
 
     def test_peak_allocation(self):
         # Each stepped state is dropped once its curls are taken.
@@ -258,6 +267,50 @@ class TestConstantEstimation:
         spec = MultiplierSpec(m=1, r=3.0, tau=0.1, s=1.0)
         value = lab.estimate_constant(lemma, self.make_samples(3), spec)
         assert value == pytest.approx(expected, rel=1e-12)
+
+    @staticmethod
+    def mixed_grid_samples():
+        # n = 16 and n = 8 samples in turn, so that squared weights kept
+        # for the wrong grid size would fail to broadcast or differ.
+        out = []
+        for i in range(4):
+            n, kmax = (16, 4) if i % 2 == 0 else (8, 2)
+            st = random_band(Grid(n), seed=600 + i, kmax=kmax, amplitude=0.2)
+            out.append((curl(st.u), curl(st.h)))
+        return out
+
+    @pytest.mark.parametrize("lemma", lab.KNOWN_LEMMAS)
+    def test_equal_to_reference_on_mixed_grids(self, lemma):
+        # One to_physical call and one gradient per field and sample, and
+        # weights kept per grid size, equal bit for bit an advect per row
+        # and a weight array per row and m.
+        samples = self.mixed_grid_samples()
+        spec = MultiplierSpec(m=1, r=3.0, tau=0.1, s=1.0)
+        assert (lab.estimate_constant(lemma, samples, spec)
+                == estimate_constant_reference(lemma, samples, spec))
+
+    @pytest.mark.parametrize("lemma, per_sample", [
+        ("3.1", 33), ("3.2", 33), ("3.21", 39), ("3.22", 24),
+    ])
+    def test_transforms_per_sample(self, lemma, per_sample, monkeypatch):
+        # The advecting fields of the lemma's rows (3 components each) and
+        # the gradients (9) of the fields its rows differentiate, with u and
+        # h always: 42 with a transform per row.  Below n = 64 a call
+        # transforms a batch of components, their axis leading, so each
+        # call counts its leading extent.
+        samples = self.make_samples(3)
+        spec = MultiplierSpec(m=1, r=3.0, tau=0.1, s=1.0)
+        count = [0]
+
+        def counted(a, *args, **kwargs):
+            assert a.ndim == 4
+            count[0] += a.shape[0]
+            return irfftn(a, *args, **kwargs)
+
+        irfftn = np.fft.irfftn
+        monkeypatch.setattr(np.fft, "irfftn", counted)
+        lab.estimate_constant(lemma, samples, spec)
+        assert count[0] == per_sample * len(samples)
 
     def test_zero_magnetic_samples_contribute_zero_to_coupling(self):
         g = Grid(16)

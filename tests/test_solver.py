@@ -10,7 +10,6 @@ from gevreymhd.operators import (
     advect,
     curl,
     gradient_physical,
-    inner_l2,
 )
 from gevreymhd import norms, solver, spectral
 from gevreymhd.radius import RadiusTracker
