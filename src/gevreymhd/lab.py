@@ -7,6 +7,7 @@ exhaustively; constant estimation reports empirical sup ratios against the
 right-hand-side structures with unit constant.
 """
 
+import functools
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
@@ -64,9 +65,11 @@ def _residual(lhs: complex, parts_sum: complex, part_values) -> tuple:
     return abs(lhs - parts_sum) / scale, scale
 
 
+@functools.lru_cache(maxsize=8)
 def _squared_weights(grid: Grid, spec: MultiplierSpec) -> np.ndarray:
-    w = multiplier_weights(grid, spec)
-    return w * w
+    w = np.square(multiplier_weights(grid, spec))
+    w.flags.writeable = False
+    return w
 
 
 def weighted_inner(f: SpectralField, g: SpectralField,
@@ -113,12 +116,10 @@ def triad_decomposition_check(u: SpectralField, h: SpectralField,
         raise ValueError("decomposition checks need a directional m in 1..3")
     tables = weight_tables(kmax, r, tau, s)
     fields = {"u": u, "h": h, "omega": omega, "current": current}
-    cubes = {}
 
+    @functools.cache
     def cube(name):
-        if name not in cubes:
-            cubes[name] = extract_band(fields[name], kmax)
-        return cubes[name]
+        return extract_band(fields[name], kmax)
 
     def terms(a, b, c, names):
         P = pair_marginal(cube(a), cube(b), cube(c), kmax, m)
@@ -190,6 +191,8 @@ def scalar_inequality_suite(bound: int, s_values, r: float = 3.6) -> dict:
     """
     if bound > SWEEP_CAP:
         raise ValueError(f"sweep bound {bound} exceeds the cap {SWEEP_CAP}")
+    if bound < 1:
+        raise ValueError(f"sweep bound {bound} leaves no triple to check")
     vals = np.arange(-bound, bound + 1)
     jm, km = np.meshgrid(vals, vals, indexing="ij")
     lm = -jm - km
@@ -239,6 +242,8 @@ def scalar_inequality_suite(bound: int, s_values, r: float = 3.6) -> dict:
             nz2 = (jm != 0) & (rhs_mv > 0)
             key = f"mean_value[s={s},rho={rho:g}]"
             mv_sup[key] = float(np.max(lhs_mv[nz2] / rhs_mv[nz2]))
+    if not mv_sup:
+        raise ValueError("no s values supplied")
 
     reports["root_diff"] = InequalityReport(
         "root_diff", rd_checked, rd_bad, rd_worst
@@ -296,6 +301,8 @@ def operator_inequality_suite(fields, r: float = 3.0, tau: float = 0.2,
                         violations += 1
                     if use_tau == tau and x_norm > 0:
                         emp[i] = max(emp[i], rhs / x_norm)
+    if n_checked == 0:
+        raise ValueError("no fields supplied")
     return {
         "constant_one": InequalityReport(
             "constant_one", n_checked, violations, float(worst)
@@ -336,6 +343,31 @@ def _curl_norm_sq(state: MHDState, spec: MultiplierSpec) -> float:
             + weighted_inner(current, current, spec))
 
 
+def _row_pairings(grid: Grid, fields: dict, rows, weights) -> tuple:
+    """Per weight array W, a dict of <(a.grad)b, W c> over the CURL_TERMS
+    rows (a, b, c, ...), and the gradient tensors of u and h.  The
+    advecting fields go through one `to_physical` call; each field a row
+    differentiates, and u and h, gives one gradient tensor in turn, which
+    makes its rows' products, each dropped once it is paired.
+    """
+    advecting = list(dict.fromkeys(row[0] for row in rows))
+    samples = to_physical(*(fields[a] for a in advecting))
+    samples = dict(zip(advecting, np.split(samples, len(advecting))))
+    pairings, grads = [{} for _ in weights], {}
+    for b in dict.fromkeys([*(row[1] for row in rows), "u", "h"]):
+        grad = gradient_physical(fields[b])
+        for a, row_b, c, _, _ in rows:
+            if row_b == b:
+                product = advect_samples(grid, samples[a], grad)
+                for pairs, w in zip(pairings, weights):
+                    pairs[a, b, c] = inner_weighted(product, fields[c], w)
+                del product
+        if b in ("u", "h"):
+            grads[b] = grad
+        del grad
+    return pairings, grads["u"], grads["h"]
+
+
 def balance_terms(u: SpectralField, h: SpectralField,
                   spec: MultiplierSpec) -> tuple:
     """K1..K4 of d/dt 1/2 (|omega|^2 + |J|^2) at the primitive pair (u, h).
@@ -343,33 +375,20 @@ def balance_terms(u: SpectralField, h: SpectralField,
     K1, K2 and K3 sum the rows of CURL_TERMS by lemma.  K4 pairs with J the
     rest of the curl of the induction tendency,
     -(omega.grad)h + (J.grad)u - [E(u, h) - E(h, u)], which no lemma covers.
-    u, h, omega and J are transformed once, in one call, and each field a
-    row differentiates gives one gradient tensor, which makes the products
-    of its rows; the gradients of u and h also make E(u, h) - E(h, u).
+    The rows are paired by `_row_pairings`: u, h, omega and J are
+    transformed once, in one call, and each of the 4 fields gives one
+    gradient tensor; those of u and h also make E(u, h) - E(h, u).
     """
     grid = u.grid
     fields = {"u": u, "h": h, "omega": curl(u), "current": curl(h)}
-    samples = to_physical(*fields.values())
-    samples = dict(zip(fields, np.split(samples, len(fields))))
     weights = _squared_weights(grid, spec)
-    trilinear, grads = {}, {}
-    for b in dict.fromkeys(row[1] for row in CURL_TERMS):
-        grad = gradient_physical(fields[b])
-        for a, row_b, c, _, _ in CURL_TERMS:
-            if row_b == b:
-                trilinear[a, b, c] = inner_weighted(
-                    advect_samples(grid, samples[a], grad), fields[c],
-                    weights)
-        if b in ("u", "h"):
-            grads[b] = grad
-        del grad
-    del samples
-    cross = cross_gradient_samples(grid, grads.pop("u"), grads.pop("h"))
+    (pairs,), gu, gh = _row_pairings(grid, fields, CURL_TERMS, [weights])
+    cross = cross_gradient_samples(grid, gu, gh)
+    del gu, gh
     k = [0.0, 0.0, 0.0]
     for a, b, c, sign, lemma in CURL_TERMS:
-        k[_BALANCE_GROUP[lemma]] += sign * trilinear[a, b, c]
-    k4 = (trilinear["current", "u", "current"]
-          - trilinear["omega", "h", "current"]
+        k[_BALANCE_GROUP[lemma]] += sign * pairs[a, b, c]
+    k4 = (pairs["current", "u", "current"] - pairs["omega", "h", "current"]
           - inner_weighted(cross, fields["current"], weights))
     return (*k, k4)
 
@@ -461,51 +480,31 @@ def estimate_constant(lemma: str, samples, spec: MultiplierSpec) -> float:
     |T1 + T2|.  Zero samples are skipped; a vanishing RHS with nonzero LHS
     reports a counterexample candidate.
 
-    Per sample, the rows' advecting fields are transformed in one call and
-    each field a row differentiates gives one gradient tensor, which makes
-    the products of its rows; u and h are always differentiated, as their
-    tensors give the gradient sup-norms.  That is 33, 33, 39 and 24
-    inverse component transforms per sample for lemmas 3.1, 3.2, 3.21 and
-    3.22, not 42 with a transform per row.  The products do not depend on
-    the direction m, and the three squared directional weights are built
-    once per grid size the samples live on.
+    Per sample, `_row_pairings` transforms the rows' advecting fields in
+    one call and takes one gradient tensor per field a row differentiates,
+    and of u and h always, whose tensors give the gradient sup-norms.  That
+    is 33, 33, 39 and 24 inverse component transforms per sample for
+    lemmas 3.1, 3.2, 3.21 and 3.22, not 42 with a transform per row.  The
+    products do not depend on the direction m; each is paired with the
+    three squared directional weights, which are cached per grid.
     """
     if lemma not in KNOWN_LEMMAS:
         raise ValueError(f"unknown lemma tag {lemma!r}; known: {KNOWN_LEMMAS}")
     params = GevreyParams(r=spec.r, s=spec.s, tau=spec.tau)
     rows = [row for row in CURL_TERMS if row[4] == lemma]
-    advecting = list(dict.fromkeys(row[0] for row in rows))
-    differentiated = dict.fromkeys([*(row[1] for row in rows), "u", "h"])
-    weights = {}  # grid size -> the squared weights for m = 1, 2, 3
-    sup = 0.0
-    used = 0
+    specs = [replace(spec, m=m) for m in (1, 2, 3)]
+    sup, used = 0.0, 0
     for omega, current in samples:
         grid = omega.grid
         fields = {"u": biot_savart(omega), "h": biot_savart(current),
                   "omega": omega, "current": current}
-        samples_a = to_physical(*(fields[a] for a in advecting))
-        samples_a = dict(zip(advecting,
-                             np.split(samples_a, len(advecting))))
-        products, sups = {}, {}
-        for b in differentiated:
-            grad = gradient_physical(fields[b])
-            for a, row_b, c, _, _ in rows:
-                if row_b == b:
-                    products[a, b, c] = advect_samples(grid, samples_a[a],
-                                                       grad)
-            if b in ("u", "h"):
-                sups[b] = gradient_sups(grad)[0]
-            del grad
-        del samples_a
-        terms = [(sign, products[a, b, c], fields[c])
-                 for a, b, c, sign, _ in rows]
-        rhs = _lemma_rhs(lemma, omega, current, params, sups["u"], sups["h"])
-        if grid.n not in weights:
-            weights[grid.n] = [_squared_weights(grid, replace(spec, m=m))
-                               for m in (1, 2, 3)]
-        for m, w2 in zip((1, 2, 3), weights[grid.n]):
-            t1, t2 = (sign * inner_weighted(prod, c, w2)
-                      for sign, prod, c in terms)
+        pairings, gu, gh = _row_pairings(
+            grid, fields, rows, [_squared_weights(grid, sp) for sp in specs])
+        rhs = _lemma_rhs(lemma, omega, current, params,
+                         gradient_sups(gu)[0], gradient_sups(gh)[0])
+        del gu, gh
+        for m, pairs in zip((1, 2, 3), pairings):
+            t1, t2 = (sign * pairs[a, b, c] for a, b, c, sign, _ in rows)
             lhs = abs(t1 + t2) if lemma == "3.21" else abs(t1) + abs(t2)
             if lhs == 0.0 and rhs == 0.0:
                 continue

@@ -179,11 +179,14 @@ def advect(a: SpectralField, b: SpectralField) -> SpectralField:
     return advect_samples(a.grid, to_physical(a), gradient_physical(b))
 
 
+_ADVECTION = "mxyz,mcxyz->cxyz"  # (a.grad)b from a and the gradient of b
+
+
 def advect_samples(grid: Grid, a: np.ndarray,
                    grad_b: np.ndarray) -> SpectralField:
     """`advect` from the samples of a, shape (3, n, n, n), and the gradient
     tensor of b, as `to_physical` and `gradient_physical` return them."""
-    prod = np.einsum("mxyz,mcxyz->cxyz", a, grad_b)
+    prod = np.einsum(_ADVECTION, a, grad_b)
     return _dealias_in_place(from_physical(grid, prod))
 
 

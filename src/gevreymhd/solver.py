@@ -25,7 +25,7 @@ from .norms import (
     state_norms,
     sup_gradient,
 )
-from .operators import curl, gradient_physical, inner_l2
+from .operators import _ADVECTION, curl, gradient_physical, inner_l2
 from .spectral import (
     MHDState,
     SpectralField,
@@ -80,9 +80,6 @@ class RunResult:
     records: list
     state: MHDState
     status: str  # "completed" | "blow-up" | "non-finite"
-
-
-_ADVECTION = "mxyz,mcxyz->cxyz"  # (a.grad)b from a and the gradient of b
 
 
 def _advect_slab(s, phys, grad_u, prod):

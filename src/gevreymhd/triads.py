@@ -23,11 +23,10 @@ not.  The reduction order is fixed by the code and the BLAS build, so
 residuals are reproducible for a given numpy/BLAS build and thread count.
 """
 
-import functools
-
 import numpy as np
 
-from .spectral import Grid, SpectralField
+from .norms import mode_amplitude
+from .spectral import SpectralField
 
 MAX_BRUTE_KMAX = 6
 HERMITIAN_RTOL = 1e-12  # a cube's defect, relative to its largest entry
@@ -37,36 +36,32 @@ class BandError(ValueError):
     """Field content outside the requested brute-force band."""
 
 
-@functools.lru_cache(maxsize=8)
-def _outside_band(n: int, kmax: int) -> np.ndarray:
-    """Read-only (n, n, n) mask of the modes with some |k_i| > kmax."""
-    outside = ~Grid(n).band_mask(kmax)
-    outside.flags.writeable = False
-    return outside
-
-
 def extract_band(v: SpectralField, kmax: int) -> np.ndarray:
     """Dense (3, 2K+1, 2K+1, 2K+1) coefficient cube over |k_i| <= kmax.
 
     Index [c, k1+K, k2+K, k3+K] holds component c at wavevector k.  Content
-    outside the band raises.  The largest |v_hat| over all modes and over
-    those outside the band both come from one |v_hat| array, the second
-    masked by an out-of-band mask kept per (n, kmax).
+    outside the band raises, and so does a band with 2 kmax >= n, whose
+    cube would hold some modes twice.  The leak is the largest |v_hat| left
+    once the band's entries of the |v_hat| array are zeroed.
     """
+    n = v.grid.n
     if kmax > MAX_BRUTE_KMAX:
         nmodes = (2 * kmax + 1) ** 3
         raise BandError(
             f"kmax={kmax} exceeds the brute-force cap {MAX_BRUTE_KMAX} "
             f"(~{nmodes**2:.2e} mode pairs)"
         )
-    amp = np.abs(v.coeffs).max(axis=0)
-    leak = float(np.max(amp, where=_outside_band(v.grid.n, kmax),
-                        initial=0.0))
-    if leak > 1e-13 * max(float(np.max(amp)), 1.0):
+    if 2 * kmax >= n:
+        raise BandError(f"band |k_i| <= {kmax} is wider than the n={n} grid")
+    amp = mode_amplitude(v)
+    largest = float(np.max(amp))
+    pos = np.arange(-kmax, kmax + 1) % n
+    amp[np.ix_(pos, pos, pos)] = 0.0
+    leak = float(np.max(amp))
+    if leak > 1e-13 * max(largest, 1.0):
         raise BandError(
             f"field has content outside |k_i| <= {kmax} (max {leak:.3e})"
         )
-    pos = np.arange(-kmax, kmax + 1) % v.grid.n
     # Advanced indexing copies, so the cube shares no memory with v.
     return v.coeffs[np.ix_((0, 1, 2), pos, pos, pos)]
 

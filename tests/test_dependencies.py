@@ -74,3 +74,34 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line}: {name}"
                    for name, line in imported.items() if name not in read]
     assert unused == []
+
+
+def test_no_dead_private_names():
+    # Every module-level private name of the package (a def, a class or an
+    # assignment) is read somewhere in it: as a loaded name, as an
+    # attribute or as an imported alias.
+    defined, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(f"{path.name}:{node.lineno}: {name}", name)
+                        for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    assert defined
+    assert [where for where, name in defined if name not in read] == []

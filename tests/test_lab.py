@@ -96,6 +96,16 @@ class TestScalarSuite:
         with pytest.raises(ValueError, match="cap"):
             lab.scalar_inequality_suite(500, (1.0,))
 
+    @pytest.mark.parametrize("bound, s_values, match", [
+        (0, (1.0,), "bound"),
+        (-3, (1.0,), "bound"),
+        (1, (), "s values"),
+    ])
+    def test_empty_sweep_rejected(self, bound, s_values, match):
+        # A sweep that checks nothing cannot pass.
+        with pytest.raises(ValueError, match=match):
+            lab.scalar_inequality_suite(bound, s_values)
+
 
 class TestOperatorSuite:
     def test_random_fields_no_violations(self):
@@ -105,6 +115,13 @@ class TestOperatorSuite:
         assert reports["constant_one"].passed
         assert np.isfinite(reports["direct_C"].empirical_C)
         assert reports["biot_savart_C"].empirical_C <= np.sqrt(3.0) + 1e-9
+
+    def test_no_fields_rejected(self):
+        # A suite that checks nothing cannot pass.
+        with pytest.raises(ValueError, match="no fields"):
+            lab.operator_inequality_suite([])
+        with pytest.raises(ValueError, match="no fields"):
+            lab.operator_inequality_suite(iter(()))
 
     def test_axis_aligned_single_mode_equality(self):
         # for a mode with k = (k1, 0, 0), |k_1| = |k|_1 so the direct chain

@@ -3,7 +3,7 @@ import pytest
 
 from gevreymhd import triads
 from gevreymhd.operators import MultiplierSpec, curl
-from gevreymhd.spectral import Grid, random_band, random_band_field
+from gevreymhd.spectral import Grid, mode_field, random_band, random_band_field
 
 from oracles import (
     field_to_modes,
@@ -36,6 +36,30 @@ class TestBandExtraction:
         st = random_band(g, seed=31, kmax=4)
         with pytest.raises(triads.BandError, match="cap"):
             triads.extract_band(st.u, 7)
+
+    @pytest.mark.parametrize("level, passes", [(0.5e-13, True),
+                                               (2e-13, False)])
+    def test_leak_bound(self, level, passes):
+        # One out-of-band mode pair at `level` of max(|v_hat|, 1) leaks
+        # past the bound only above 1e-13; the cube is a copy.
+        v = random_band_field(Grid(16), seed=33, kmax=2)
+        leak = level * max(float(np.max(np.abs(v.coeffs))), 1.0)
+        v.coeffs[1, 3, 0, 0] = v.coeffs[1, -3, 0, 0] = leak
+        if passes:
+            cube = triads.extract_band(v, 2)
+            assert not np.shares_memory(cube, v.coeffs)
+        else:
+            with pytest.raises(triads.BandError, match="outside"):
+                triads.extract_band(v, 2)
+
+    @pytest.mark.parametrize("kmax", [4, 5])
+    def test_band_wider_than_grid_rejected(self, kmax):
+        # On n = 8 a band with 2 kmax >= n wraps round the grid: kmax = 5
+        # puts the k1 = 3 modes at +-3 and +-5 of the cube, kmax = 4 the
+        # n/2 plane at both -4 and 4, so triad sums would count them twice.
+        v = mode_field(Grid(8), [((3, 0, 0), (0.0, 0.5, 0.0))])
+        with pytest.raises(triads.BandError, match="wider"):
+            triads.extract_band(v, kmax)
 
 
 class TestMarginalKernels:
