@@ -28,8 +28,9 @@ VERSION = 1
 _HEADER = struct.Struct("<4sII dddd")
 
 
-# Largest Hermitian or divergence defect of a field read, relative to its
-# largest coefficient: the states a run writes sit near 1e-18.
+# Largest Hermitian, divergence or band defect of a field read, relative to
+# its largest coefficient: the states a run writes sit near 1e-18, and a
+# stepped state is exactly zero outside the band.
 _DEFECT_RTOL = 1e-10
 
 
@@ -38,16 +39,19 @@ class CheckpointError(ValueError):
 
 
 def _check_payload(name: str, field: SpectralField) -> None:
-    """Reject a field that is not finite, Hermitian and solenoidal.
+    """Reject a field that is not finite, Hermitian, solenoidal and inside
+    the 2/3 band.
 
     The transforms read only the k_3 >= 0 half of a field, so a field that
-    is not Hermitian would silently change meaning.
+    is not Hermitian would silently change meaning, and the first step
+    would silently drop its modes outside the band.
     """
     scale = field.max_amplitude()
     if not math.isfinite(scale):
         raise CheckpointError(f"field {name} has non-finite coefficients")
     for what, defect in (("Hermitian", field.hermitian_defect()),
-                         ("divergence", field.divergence_defect())):
+                         ("divergence", field.divergence_defect()),
+                         ("band", field.band_defect())):
         if defect > _DEFECT_RTOL * scale:
             raise CheckpointError(
                 f"field {name} has a {what} defect of {defect:.3e}, above "
@@ -85,8 +89,8 @@ def load_checkpoint(path) -> tuple:
 
     The header's grid size and (t, r, s, tau > 0) are validated and the file
     size checked against the header before the fields are read straight into
-    the arrays the state keeps; each field must then be finite, Hermitian and
-    solenoidal to roundoff.
+    the arrays the state keeps; each field must then be finite, Hermitian,
+    solenoidal and inside the 2/3 band to roundoff.
     """
     path = Path(path)
     if not path.is_file():

@@ -405,7 +405,7 @@ def energy_balance_check(state: MHDState, spec: MultiplierSpec,
     step serves both.  Every step starts from the same state, so its first
     RK4 stage, rhs_primitive(state), is evaluated once and shared: 1 + 3
     stage evaluations per step, 13 for those 4 steps, not 16.  A step sums
-    its stages into k1's arrays, so each step but the last takes a copy.
+    its stages into k1's band, so each step but the last takes a copy of it.
     A stepped state gives its half-step terms, its full-step norm or both,
     and is then dropped.  Returns per-dt defects and observed convergence
     orders.
@@ -417,7 +417,7 @@ def energy_balance_check(state: MHDState, spec: MultiplierSpec,
     k1 = rhs_primitive(state)
     for step, length in enumerate(lengths, 1):
         if step < len(lengths):
-            stage = Tendency(k1.du.copy(), k1.dh.copy())
+            stage = Tendency(k1.grid, k1.band.copy())
         else:
             stage, k1 = k1, None
         stepped = step_rk4(state, length, stage)

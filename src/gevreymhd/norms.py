@@ -18,7 +18,7 @@ from .operators import (
     _mode_products,
     gradient_physical,
 )
-from .spectral import Grid, SpectralField
+from .spectral import Grid, SpectralField, _over_slabs
 
 
 class RadiusFitError(ValueError):
@@ -133,12 +133,27 @@ def gradient_sups(g: np.ndarray) -> tuple:
     """Max-abs entry and collocation max of |curl| of a gradient tensor.
 
     g is `gradient_physical`'s output, entry [m, c] = d_m v_c; the curl is
-    its antisymmetric part.
+    its antisymmetric part, and |curl| is rounded as np.linalg.norm rounds
+    it.  Each slab's maxima are combined with np.max, which keeps a NaN.
     """
-    rot = np.stack((g[1, 2] - g[2, 1], g[2, 0] - g[0, 2], g[0, 1] - g[1, 0]))
+    n = g.shape[-1]
+    scratch = np.empty((2, n, n, n))
+
+    def job(s):
+        gs, (norm, sq) = g[:, :, s], scratch[:, s]
+        np.subtract(gs[1, 2], gs[2, 1], out=norm)
+        np.multiply(norm, norm, out=norm)
+        for i, j in ((2, 0), (0, 1)):
+            np.subtract(gs[i, j], gs[j, i], out=sq)
+            np.multiply(sq, sq, out=sq)
+            norm += sq
+        np.sqrt(norm, out=norm)
+        return gs.max(), gs.min(), norm.max()
+
+    high, low, rot = np.array(_over_slabs(n, job)).T
     # max |g| without an |g| array; negation is exact, so the value is too.
-    grad_sup = max(float(g.max()), -float(g.min()))
-    return grad_sup, float(np.max(np.linalg.norm(rot, axis=0)))
+    grad_sup = max(float(np.max(high)), -float(np.min(low)))
+    return grad_sup, float(np.max(rot))
 
 
 def sup_gradient(v: SpectralField) -> tuple:
@@ -177,8 +192,20 @@ def mode_amplitude(*fields: SpectralField) -> np.ndarray:
     """Largest component magnitude over the fields per mode, shape (n, n, n).
 
     The shell maxima, the shell spectrum and the radius fit all read it.
+    np.maximum keeps a NaN, as np.max does.
     """
-    return np.max([np.abs(v.coeffs).max(axis=0) for v in fields], axis=0)
+    n = fields[0].grid.n
+    out, tmp = np.empty((n, n, n)), np.empty((n, n, n))
+
+    def job(s):
+        components = [c for v in fields for c in v.coeffs[:, s]]
+        np.abs(components[0], out=out[s])
+        for c in components[1:]:
+            np.abs(c, out=tmp[s])
+            np.maximum(out[s], tmp[s], out=out[s])
+
+    _over_slabs(n, job)
+    return out
 
 
 def _per_shell(ufunc, values: np.ndarray) -> np.ndarray:

@@ -15,11 +15,12 @@ from .spectral import (
     Grid,
     GridError,
     SpectralField,
-    _dealias_in_place,
+    _band_forward,
+    _from_band,
+    _over_slabs,
     _real_inverse,
     _tables,
     _transform_components,
-    from_physical,
     to_physical,
 )
 
@@ -113,12 +114,23 @@ def curl(v: SpectralField) -> SpectralField:
     i k_m is zero at the wavenumber n/2, as in `gradient_physical`, so the
     curl of a real field is real.
     """
-    ik1, ik2, ik3 = _tables(v.grid.n).ik
-    c = v.coeffs
-    out = np.empty_like(c)
-    out[0] = ik2 * c[2] - ik3 * c[1]
-    out[1] = ik3 * c[0] - ik1 * c[2]
-    out[2] = ik1 * c[1] - ik2 * c[0]
+    n = v.grid.n
+    ik = _tables(n).ik
+    out = np.empty_like(v.coeffs)
+    tmp = np.empty(out.shape[1:], dtype=np.complex128)
+
+    def job(s):
+        k1, k2, k3 = ik[0][s], ik[1], ik[2]
+        c, o, t = v.coeffs[:, s], out[:, s], tmp[s]
+        # component i is ka c_a - kb c_b, each product rounded first
+        for oi, (ka, a, kb, b) in zip(o, ((k2, c[2], k3, c[1]),
+                                          (k3, c[0], k1, c[2]),
+                                          (k1, c[1], k2, c[0]))):
+            np.multiply(ka, a, out=oi)
+            np.multiply(kb, b, out=t)
+            np.subtract(oi, t, out=oi)
+
+    _over_slabs(n, job)
     return SpectralField(v.grid, out)
 
 
@@ -163,9 +175,9 @@ def gradient_physical(b: SpectralField) -> np.ndarray:
                 np.multiply(ik[m][..., :half],
                             b.coeffs[lo - 3 * m:hi - 3 * m, ..., :half],
                             out=buf[lo - s.start:hi - s.start])
-        _real_inverse(buf, buf, out.reshape(9, n, n, n)[s])
+        _real_inverse(buf, out.reshape(9, n, n, n)[s])
 
-    _transform_components(n, 9, job, scratch=True)
+    _transform_components(n, 9, job, (n, n, half))
     return out
 
 
@@ -187,7 +199,7 @@ def advect_samples(grid: Grid, a: np.ndarray,
     """`advect` from the samples of a, shape (3, n, n, n), and the gradient
     tensor of b, as `to_physical` and `gradient_physical` return them."""
     prod = np.einsum(_ADVECTION, a, grad_b)
-    return _dealias_in_place(from_physical(grid, prod))
+    return SpectralField(grid, _from_band(_band_forward(prod), grid.n))
 
 
 def cross_gradient_samples(grid: Grid, gu: np.ndarray,
@@ -208,7 +220,7 @@ def cross_gradient_samples(grid: Grid, gu: np.ndarray,
     for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
         out[i] = ((pair(gu, gh, j, k) - pair(gu, gh, k, j))
                   - (pair(gh, gu, j, k) - pair(gh, gu, k, j)))
-    return _dealias_in_place(from_physical(grid, out))
+    return SpectralField(grid, _from_band(_band_forward(out), grid.n))
 
 
 def _mode_products(f: SpectralField, g: SpectralField) -> np.ndarray:

@@ -2,13 +2,19 @@
 
 The primitive pair (u, h) is evolved with classical RK4, `step_rk4`, the
 package's one time stepper; the nonlinear terms are evaluated
-pseudo-spectrally, Leray-projected and dealiased every stage.  The lab checks
-the weighted vorticity/current balance on states this stepper produces.  The
-run loop steps and samples; its records carry the gradient integral I(t) but
-no radius, which `radius.RadiusTracker` fills in afterwards.  A state the
-loop samples or takes a CFL step from is transformed once, by the first RK4
-stage of the step that follows, which also reduces the CFL speed and the
-gradient sup-norms.
+pseudo-spectrally and dealiased with the 2/3 rule every stage.  A stage's
+tendency lives on the 2/3 band only: the products' forward transform makes
+just the band's modes (`spectral._band_forward`), and the Leray projection,
+the sign flip, the finiteness check and the RK4 sums run on those band
+arrays, a `Tendency` carrying them.  Every nonzero coefficient a step makes
+has the bits of the full-size textbook evaluation, and a stepped state is
++0.0 outside the band.  The lab checks the weighted vorticity/current
+balance on states this stepper produces.  The run loop steps and samples;
+its records carry the gradient integral I(t) but no radius, which
+`radius.RadiusTracker` fills in afterwards.  A state the loop samples or
+takes a CFL step from is transformed once, by the first RK4 stage of the
+step that follows, which also reduces the CFL speed and the gradient
+sup-norms.
 """
 
 from dataclasses import dataclass
@@ -27,12 +33,14 @@ from .norms import (
 )
 from .operators import _ADVECTION, curl, gradient_physical, inner_l2
 from .spectral import (
+    Grid,
     MHDState,
     SpectralField,
-    _dealias_in_place,
-    _leray_in_place,
+    _band,
+    _band_forward,
+    _from_band,
+    _leray_slab,
     _over_slabs,
-    from_physical,
     to_physical,
 )
 
@@ -52,11 +60,24 @@ class StateMaxima:
 
 @dataclass
 class Tendency:
-    """Time derivatives of the primitive pair (u, h)."""
+    """Time derivatives of the primitive pair (u, h), on the 2/3 band.
 
-    du: SpectralField
-    dh: SpectralField
+    band holds du's three components, then dh's, at the band's modes: shape
+    (6, B, B, B) in `spectral._Band`'s layout.  du and dh write them into
+    full fields that are +0.0 at every other mode.
+    """
+
+    grid: Grid
+    band: np.ndarray
     maxima: StateMaxima | None = None  # rhs_primitive(state, maxima=True)
+
+    @property
+    def du(self) -> SpectralField:
+        return SpectralField(self.grid, _from_band(self.band[:3], self.grid.n))
+
+    @property
+    def dh(self) -> SpectralField:
+        return SpectralField(self.grid, _from_band(self.band[3:], self.grid.n))
 
 
 @dataclass
@@ -103,10 +124,30 @@ def _advect_difference_slab(s, phys, grad_h, prod, tmp):
     np.subtract(tmp, second, out=second)
 
 
+def _norm_rows(x, out, tmp) -> None:
+    """np.linalg.norm(x, axis=0) of three rows x into out, rounded as it
+    rounds: sqrt((x0 x0 + x1 x1) + x2 x2); tmp is scratch."""
+    np.multiply(x[0], x[0], out=out)
+    for xi in x[1:]:
+        np.multiply(xi, xi, out=tmp)
+        out += tmp
+    np.sqrt(out, out=out)
+
+
+def _speed_slab(s, phys, scratch):
+    speed, norm_h, tmp = scratch[:, s]
+    _norm_rows(phys[:3, s], speed, tmp)
+    _norm_rows(phys[3:, s], norm_h, tmp)
+    speed += norm_h
+    return speed.max()
+
+
 def _max_speed(phys: np.ndarray) -> float:
     """max(|u| + |h|) over the collocation points of stacked u, h samples."""
-    return float(np.max(np.linalg.norm(phys[:3], axis=0)
-                        + np.linalg.norm(phys[3:], axis=0)))
+    n = phys.shape[-1]
+    scratch = np.empty((3, n, n, n))
+    # np.max of the slab maxima, not max(), so a NaN is kept.
+    return float(np.max(_over_slabs(n, _speed_slab, phys, scratch)))
 
 
 def _nonlinear(state: MHDState, reduce: str | None):
@@ -114,7 +155,7 @@ def _nonlinear(state: MHDState, reduce: str | None):
 
     Shares the transforms of u, h and their gradients across the four
     advection terms, with one gradient tensor alive at a time; returns the
-    forward transforms of the two products, not yet dealiased, and what
+    2/3-rule band of the two products' forward transforms, and what
     `reduce` asks for from those samples and tensors: the StateMaxima for
     "maxima", the CFL speed alone for "speed", else None.
     """
@@ -133,23 +174,33 @@ def _nonlinear(state: MHDState, reduce: str | None):
     del phys, tmp
     found = StateMaxima(speed, sups_u, gradient_sups(grad)) if sups else speed
     del grad
-    return from_physical(grid, prod), found
+    return _band_forward(prod), found
 
 
-def _negate_slab(s, c):
-    # The complex product with -1.0, not np.negative, whose zeros would
-    # carry other signs.
-    np.multiply(c[:, s], -1.0, out=c[:, s])
+def _project_slab(s, band, kdotv, term, k, k2norm, negate):
+    for c in (band[:3], band[3:]):
+        _leray_slab(s, c, kdotv, term, k, k2norm)
+        if negate:
+            # The complex product with -1.0, not np.negative, whose zeros
+            # would carry other signs.
+            np.multiply(c[:, s], -1.0, out=c[:, s])
+
+
+def _project_band(band: np.ndarray, n: int, negate: bool) -> None:
+    """Leray-project (then, with `negate`, negate) both fields of a band
+    array of an n-grid in place, and pin k = 0 to 0."""
+    tables = _band(n)
+    kdotv, term = np.empty((2, *band.shape[1:]), dtype=np.complex128)
+    _over_slabs(n, _project_slab, band, kdotv, term, tables.k, tables.k2norm,
+                negate, planes=tables.width)
+    band[:, 0, 0, 0] = 0.0
 
 
 def _rhs_primitive(state: MHDState, reduce: str | None):
-    """rhs_primitive's du and dh, then what `reduce` asks `_nonlinear` for."""
-    (nlu, nlh), found = _nonlinear(state, reduce)
-    for nl in (nlu, nlh):
-        # The projection zeroes k = 0 first, so the product makes it -0.0.
-        _leray_in_place(_dealias_in_place(nl))
-        _over_slabs(nl.grid.n, _negate_slab, nl.coeffs)
-    return nlu, nlh, found
+    """rhs_primitive's band, then what `reduce` asks `_nonlinear` for."""
+    band, found = _nonlinear(state, reduce)
+    _project_band(band, state.grid.n, negate=True)
+    return band, found
 
 
 def rhs_primitive(state: MHDState, maxima: bool = False) -> Tendency:
@@ -159,14 +210,34 @@ def rhs_primitive(state: MHDState, maxima: bool = False) -> Tendency:
     from the samples and gradient tensors the evaluation makes anyway, so a
     caller that steps from the state transforms it once.
     """
-    return Tendency(*_rhs_primitive(state, "maxima" if maxima else None))
+    return Tendency(state.grid,
+                    *_rhs_primitive(state, "maxima" if maxima else None))
 
 
-def _axpy_slab(s, out, base, a, x, prod):
-    """out = base + prod on slab s, prod = a x rounded first; per array."""
-    for oi, bi, xi, pi in zip(out, base, x, prod):
-        np.multiply(a, xi[:, s], out=pi[:, s])
-        np.add(bi[:, s], pi[:, s], out=oi[:, s])
+# The RK4 passes below run on band slab s, band indices s of the first mode
+# axis.  y and y0 are the full coefficient arrays of u and h, the others band
+# arrays of both; each product is rounded before its sum.
+
+def _stage_slab(s, y, y0, a, k, band):
+    """y = y0 + a k at the band's modes."""
+    for yf, y0f, kf in zip(y, y0, (k[:3], k[3:])):
+        for b, g in band.blocks(s):
+            np.multiply(a, kf[b], out=yf[g])
+            np.add(y0f[g], yf[g], out=yf[g])
+
+
+def _sum_slab(s, total, weight, k):
+    """total = total + weight k, the product written into k."""
+    np.multiply(weight, k[:, s], out=k[:, s])
+    np.add(total[:, s], k[:, s], out=total[:, s])
+
+
+def _update_slab(s, total, y0, a, band):
+    """total = y0 + a total, y0 read at the band's modes."""
+    for tf, y0f in zip((total[:3], total[3:]), y0):
+        for b, g in band.blocks(s):
+            np.multiply(a, tf[b], out=tf[b])
+            np.add(y0f[g], tf[b], out=tf[b])
 
 
 def _finite_slab(s, arrays, flags):
@@ -195,48 +266,56 @@ def step_rk4(state: MHDState, dt: float,
              k1: Tendency | None = None) -> MHDState:
     """Classical 4-stage explicit step; output re-projected and dealiased.
 
-    k1, when given, is rhs_primitive(state) evaluated by the caller; the
-    step sums the stages into its arrays.  A non-finite stage tendency
-    raises StepError.
+    The output is +0.0 outside the 2/3 band.  k1, when given, is
+    rhs_primitive(state) evaluated by the caller; the step sums the stages
+    into its band.  A non-finite stage tendency raises StepError.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    grid, n = state.grid, state.grid.n
+    grid, n, band = state.grid, state.grid.n, _band(state.grid.n)
     y0 = (state.u.coeffs, state.h.coeffs)
-    flags = np.empty(y0[0].shape, dtype=bool)
+    flags = np.empty((6, *(band.width,) * 3), dtype=bool)
 
-    def checked(tend: Tendency, t_stage: float) -> tuple:
-        k = (tend.du.coeffs, tend.dh.coeffs)
-        if not all(_over_slabs(n, _finite_slab, k, flags)):
+    def checked(tend: Tendency, t_stage: float) -> np.ndarray:
+        if not all(_over_slabs(n, _finite_slab, (tend.band,), flags,
+                               planes=band.width)):
             raise StepError(
                 f"non-finite tendency at t={t_stage:.6g} (dt={dt:.3g})"
             )
-        return k
+        return tend.band
 
-    # The update is y0 + dt/6 * (((k1 + 2 k2) + 2 k3) + k4), summed in that
-    # order into k1's arrays as each stage finishes, so only one stage
-    # derivative is alive at a time.  One preallocated buffer holds each
-    # stage input and, once its stage has run, that stage's weighted
-    # derivative, so the step makes no temporaries of its own; every pass
-    # runs slab by slab on the transform pool at n >= 64.  This is the
-    # textbook combination evaluated left to right with the scalar as the
-    # left operand, bit for bit, which the reference outputs depend on.
+    # The tendencies are zero outside the 2/3 band, so every stage works on
+    # the band alone.  The update is y0 + dt/6 * (((k1 + 2 k2) + 2 k3) + k4),
+    # summed in that order into k1's band: a stage derivative is weighted,
+    # in its own array, and summed once the next stage input is made from
+    # it, so only one is alive while a stage runs.  A stage input is y0 with
+    # y0 + a k written into its band, in one copy of y0 whose other modes
+    # are never written; the step makes no other temporaries of its own,
+    # and every pass runs slab by slab on the transform pool at n >= 64.
+    # This is the textbook combination evaluated left to right with the
+    # scalar as the left operand, bit for bit at every nonzero coefficient,
+    # which the reference outputs depend on.
     total = checked(rhs_primitive(state) if k1 is None else k1, state.t)
     k = total
-    y = tuple(np.empty_like(yi) for yi in y0)
-    for frac, weight in ((0.5, 2), (0.5, 2), (1.0, 1)):
-        _over_slabs(n, _axpy_slab, y, y0, frac * dt, k, y)
+    y = (y0[0].copy(), y0[1].copy())
+    for frac, weight in ((0.5, None), (0.5, 2), (1.0, 2)):
+        _over_slabs(n, _stage_slab, y, y0, frac * dt, k, band,
+                    planes=band.width)
+        if weight is not None:
+            _over_slabs(n, _sum_slab, total, weight, k, planes=band.width)
         del k
         t_stage = state.t + frac * dt
         k = checked(rhs_primitive(MHDState(SpectralField(grid, y[0]),
                                            SpectralField(grid, y[1]),
                                            t_stage)), t_stage)
-        _over_slabs(n, _axpy_slab, total, total, weight, k, y)
+    _over_slabs(n, _sum_slab, total, 1, k, planes=band.width)
     del k, y
-    _over_slabs(n, _axpy_slab, total, y0, dt / 6.0, total, total)
-    u = _dealias_in_place(_leray_in_place(SpectralField(grid, total[0])))
-    h = _dealias_in_place(_leray_in_place(SpectralField(grid, total[1])))
-    return MHDState(u, h, state.t + dt)
+    _over_slabs(n, _update_slab, total, y0, dt / 6.0, band,
+                planes=band.width)
+    _project_band(total, n, negate=False)
+    return MHDState(SpectralField(grid, _from_band(total[:3], n)),
+                    SpectralField(grid, _from_band(total[3:], n)),
+                    state.t + dt)
 
 
 def energy(state: MHDState) -> float:
@@ -323,8 +402,8 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
     while state.t < t_stop:
         if cfl is not None:
             if k1 is None:  # a state between samples
-                du, dh, speed = _rhs_primitive(state, "speed")
-                k1 = Tendency(du, dh)
+                k1_band, speed = _rhs_primitive(state, "speed")
+                k1 = Tendency(state.grid, k1_band)
             else:
                 speed = k1.maxima.speed
             step_dt = min(_cfl_dt(speed, state.grid.spacing, cfl),

@@ -17,33 +17,39 @@ complex-to-real inverse along the third written straight into the output,
 about half the work of a complex 3-D inverse.  The derivative multipliers
 i k_m, which the gradient and the curl share, are zero at the wavenumber
 n/2, whose mode is its own conjugate partner, so a derivative stays
-Hermitian.  The forward transform (`from_physical`) is a complex 3-D
-transform.  Every transform works in arrays the caller allocated, with the
-component axis leading, and `to_physical` and `from_physical` take the
+Hermitian.  The forward transforms are complex.  `from_physical`, which
+builds initial states, makes every mode; `_band_forward`, which transforms
+the solver's and the operators' products, makes only the 2/3-rule band
+(`_Band`), the modes with every |k_i| <= n/3, 0.30 of them at n = 64: it
+runs numpy's passes in numpy's order, each on the lines the band reads, so
+each kept coefficient has the same bits.  Every transform works in arrays
+the caller allocated, with the component axis leading, and takes the
 components of several fields in one call.  Below n = 64 (`_POOL_MIN_N`)
 each pass is one numpy call over all of a transform's components, on the
-calling thread, as a second thread gained little or lost there: the
-samples of any number of fields and a gradient tensor take three calls, a
-forward transform one.  On grids with n >= 64 the components are split
+calling thread, as a second thread gained little or lost there: the samples
+of any number of fields, a gradient tensor and a band forward transform
+take three calls each.  On grids with n >= 64 the components are split
 into one contiguous group per CPU in the process's affinity mask, and a
 group transforms one component per call in its own one-component scratch;
 the calling thread runs one group and a module-level thread pool, created
 on first use, runs the others.  numpy's transforms release the interpreter
 lock, so the groups run in parallel, and the u and h of a state,
 transformed together, make six components that split evenly over two or
-three CPUs.  The solver's elementwise n^3 passes (the dealias mask, the
-Leray projection, the advection products and the RK4 updates) run on the
-same pool through `_over_slabs`, which splits the first mode axis into one
-slab per CPU; smaller grids run them on the calling thread.  A pass over
-the component axis computes each component with the same arithmetic as a
-call on that component alone, and an elementwise pass computes each entry
-the same way on any slab, so the outputs are bit-identical for any thread
-count and for either way of batching the components.
+three CPUs.  The elementwise passes (the Leray projection, the advection
+products, the RK4 updates, the curl and the sample-side maxima) run on the
+same pool through `_over_slabs`, which splits the first mode axis, or the
+band's, into one slab per CPU; smaller grids run them on the calling
+thread.  A pass over the component axis computes each component with the
+same arithmetic as a call on that component alone, and an elementwise pass
+computes each entry the same way on any slab, so the outputs are
+bit-identical for any thread count and for either way of batching the
+components.
 
-The per-mode tables of the spectral operators (wavevectors, the Leray
-denominator |k|^2 and the dealias mask) are built once per grid size and
-shared read-only.  `dealias` and `leray_project` copy their input and run
-the in-place kernels the solver calls on arrays it owns.
+The per-mode tables of the spectral operators (wavevectors, derivative
+multipliers and the Leray denominator |k|^2, full-size in `_tables` and at
+the band's modes in `_band`) are built on first use per grid size and
+shared read-only.  One projection kernel, `_leray_slab`, projects full
+fields (`leray_project`, on a copy) and the solver's band arrays.
 """
 
 import functools
@@ -121,8 +127,8 @@ class SpectralField:
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy())
 
-    # The three maxima below go one k1 plane at a time, so they allocate
-    # O(n^2): a checkpoint load takes all three of both fields it reads.
+    # The four maxima below go one k1 plane at a time, so they allocate
+    # O(n^2): a checkpoint load takes all four of both fields it reads.
 
     def max_amplitude(self) -> float:
         c = self.coeffs
@@ -150,6 +156,20 @@ class SpectralField:
             np.max(np.abs(k[i] * c[0, i] + k[:, None] * c[1, i] + k * c[2, i]))
             for i in range(self.grid.n)]))
 
+    def band_defect(self) -> float:
+        """max |v_hat_k| over the modes outside the 2/3 band (some |k_i| > n/3)."""
+        c, n = self.coeffs, self.grid.n
+        cut = slice(n // 3 + 1, n - n // 3)  # the indices outside the band
+
+        def plane(i):
+            p = c[:, i]
+            if min(i, n - i) > n // 3:
+                return np.max(np.abs(p))
+            return np.max([np.max(np.abs(p[:, cut])),
+                           np.max(np.abs(p[..., cut]))])
+
+        return float(np.max([plane(i) for i in range(n)]))
+
 
 class _Tables:
     """Per-mode operator tables of an n^3 grid, read-only.
@@ -159,29 +179,82 @@ class _Tables:
     bits without a cast.  The derivative multipliers ik are zero at the
     wavenumber n/2: that mode is its own partner, so i k c there would break
     the Hermitian symmetry the real inverse transform assumes (the usual
-    convention for odd derivatives on an even grid).  The n^3 tables, |k|^2
-    (1 at k = 0) and the dealias mask, keep their float and boolean types: a
-    complex copy would be 2 and 16 times larger, and the cast, done in small
-    buffers, gives the same bits.
+    convention for odd derivatives on an even grid).  The n^3 table |k|^2
+    (1 at k = 0) keeps its float type: a complex copy would be twice as
+    large, and the cast, done in small buffers, gives the same bits.
     """
 
     def __init__(self, n: int):
-        grid = Grid(n)
-        k1, k2, k3 = grid.wavevectors()
-        k2norm = (k1 * k1 + k2 * k2 + k3 * k3).astype(np.float64)
-        k2norm[0, 0, 0] = 1.0  # the k=0 coefficient is zero anyway
-        self.k = tuple(km.astype(np.complex128) for km in (k1, k2, k3))
+        k1, k2, k3 = Grid(n).wavevectors()
+        self.k, self.k2norm = _projection_tables(k1, k2, k3)
         self.ik = tuple(1j * np.where(km == -n // 2, 0, km)
                         for km in (k1, k2, k3))
-        self.k2norm = k2norm
-        self.mask = grid.band_mask(n / 3.0)
-        for table in (*self.k, *self.ik, self.k2norm, self.mask):
+        for table in self.ik:
             table.flags.writeable = False
+
+
+def _projection_tables(k1, k2, k3) -> tuple:
+    """Read-only complex wavevectors and |k|^2 (1 at k = 0) of a Leray
+    projection, from broadcastable integer wavevectors whose first entries
+    are k = 0."""
+    k2norm = (k1 * k1 + k2 * k2 + k3 * k3).astype(np.float64)
+    k2norm[0, 0, 0] = 1.0  # the k=0 coefficient is zero anyway
+    k = tuple(km.astype(np.complex128) for km in (k1, k2, k3))
+    for table in (*k, k2norm):
+        table.flags.writeable = False
+    return k, k2norm
 
 
 @functools.lru_cache(maxsize=8)
 def _tables(n: int) -> _Tables:
     return _Tables(n)
+
+
+class _Band:
+    """The 2/3-rule band of an n^3 grid: its layout and projection tables.
+
+    The band keeps the modes with every |k_i| <= n/3, K = n // 3 and
+    B = 2K + 1 indices per mode axis: the grid indices 0..K, then
+    n-K..n-1, in FFT order.  A band array, shape (m, B, B, B), is a full
+    coefficient array with the other indices of each mode axis removed.
+    Along one axis the band is two runs of grid indices, so it is eight
+    rectangular blocks of the grid, which `blocks` names.  k and k2norm are
+    `_Tables`' k and k2norm at the band's modes, read-only.
+    """
+
+    def __init__(self, n: int):
+        K = n // 3
+        self.width = 2 * K + 1
+        self.rows = np.r_[0:K + 1, n - K:n]  # grid index of each band index
+        # (first band index, last + 1, grid index less band index) per run
+        self._runs = ((0, K + 1, 0), (K + 1, self.width, n - self.width))
+        k = Grid(n).modes[self.rows]
+        self.k, self.k2norm = _projection_tables(
+            k[:, None, None], k[None, :, None], k[None, None, :])
+
+    def pieces(self, lo: int = 0, hi: int | None = None) -> list:
+        """(band slice, grid slice) of each run of the band indices lo..hi-1."""
+        hi = self.width if hi is None else hi
+        out = []
+        for start, stop, shift in self._runs:
+            a, b = max(lo, start), min(hi, stop)
+            if a < b:
+                out.append((slice(a, b), slice(a + shift, b + shift)))
+        return out
+
+    def blocks(self, s: slice = slice(None)) -> list:
+        """(band index, grid index) of each block in band indices s of the
+        first mode axis; the indices take every component."""
+        lo, hi, _ = s.indices(self.width)
+        whole = self.pieces()
+        return [((slice(None), b1, b2, b3), (slice(None), g1, g2, g3))
+                for b1, g1 in self.pieces(lo, hi)
+                for b2, g2 in whole for b3, g3 in whole]
+
+
+@functools.lru_cache(maxsize=8)
+def _band(n: int) -> _Band:
+    return _Band(n)
 
 
 def symmetrize(v: SpectralField) -> SpectralField:
@@ -256,30 +329,30 @@ def _run_groups(groups: int, run) -> list:
     return results + [future.result() for future in futures]
 
 
-def _transform_components(n: int, count: int, job, scratch: bool) -> None:
+def _transform_components(n: int, count: int, job, scratch) -> None:
     """Call job(s, buf) over slices s of range(count) that cover it once.
 
-    buf is complex scratch of shape (len(s), n, n, n//2 + 1), the shape of
-    the k_3 >= 0 halves of those components (None without `scratch`); the
-    caller allocates it, so worker threads allocate nothing large, whose
-    freed blocks glibc's per-thread arenas would keep.  Below _POOL_MIN_N
+    buf is complex scratch of shape (len(s), *scratch), scratch being the
+    shape of one component's work (None for no scratch); the caller
+    allocates it, so worker threads allocate nothing large, whose freed
+    blocks glibc's per-thread arenas would keep.  Below _POOL_MIN_N
     one call covers every component, so each one-axis pass of a transform
     is one numpy call over all of them.  On larger grids the components are
     split into contiguous groups, one per CPU, run as `_run_groups` runs
     them; a group calls job on one component at a time with its own
     one-component scratch.
     """
-    shape = (n, n, n // 2 + 1)
     if n < _POOL_MIN_N:
-        buf = np.empty((count, *shape), dtype=np.complex128) if scratch else None
+        buf = (None if scratch is None
+               else np.empty((count, *scratch), dtype=np.complex128))
         job(slice(0, count), buf)
         return
     groups = min(count, _cpu_count())
     bounds = [count * g // groups for g in range(groups + 1)]
-    if scratch:
-        bufs = np.empty((groups, 1, *shape), dtype=np.complex128)
-    else:
+    if scratch is None:
         bufs = [None] * groups
+    else:
+        bufs = np.empty((groups, 1, *scratch), dtype=np.complex128)
 
     def run_group(g):
         for i in range(bounds[g], bounds[g + 1]):
@@ -288,34 +361,37 @@ def _transform_components(n: int, count: int, job, scratch: bool) -> None:
     _run_groups(groups, run_group)
 
 
-def _over_slabs(n: int, job, *args) -> list:
+def _over_slabs(n: int, job, *args, planes: int | None = None) -> list:
     """Return job(s, *args) for slices s that split the first mode axis.
 
-    On grids with n >= _POOL_MIN_N the axis of length n is split into one
-    contiguous slab per CPU, run as `_run_groups` runs its groups; smaller
-    grids call job(slice(None), *args) once on the calling thread.  A job
-    applies its elementwise kernel to slab s of every array it is given
-    (c[:, s] of a (3, n, n, n) array, t[s] of an (n, n, n) table) and
-    writes only arrays the caller allocated.  Elementwise results do not
-    depend on the split, so they are bit-identical for any CPU count.
+    On grids with n >= _POOL_MIN_N the axis, of length `planes` (n by
+    default, B for band arrays), is split into one contiguous slab per CPU,
+    run as `_run_groups` runs its groups; smaller grids call
+    job(slice(None), *args) once on the calling thread.  A job applies its
+    elementwise kernel to slab s of every array it is given (c[:, s] of a
+    (3, n, n, n) array, t[s] of an (n, n, n) table) and writes only arrays
+    the caller allocated.  Elementwise results do not depend on the split,
+    so they are bit-identical for any CPU count.
     """
     if n < _POOL_MIN_N:
         return [job(slice(None), *args)]
-    groups = min(n, _cpu_count())
-    bounds = [n * g // groups for g in range(groups + 1)]
+    planes = n if planes is None else planes
+    groups = min(planes, _cpu_count())
+    bounds = [planes * g // groups for g in range(groups + 1)]
     return _run_groups(
         groups, lambda g: job(slice(bounds[g], bounds[g + 1]), *args))
 
 
-def _real_inverse(half: np.ndarray, buf: np.ndarray, out: np.ndarray) -> None:
+def _real_inverse(buf: np.ndarray, out: np.ndarray) -> None:
     """Unscaled real inverse of stacked components' k_3 >= 0 halves, into out.
 
-    half holds c[..., :n//2+1] of Hermitian components, the component axis
-    leading (it may be buf itself); buf is scratch of its shape and is
-    overwritten.  The passes are one-axis calls of numpy's n-D functions,
-    which allocate no n^3 intermediates as a 3-axis `irfftn` would.
+    buf holds c[..., :n//2+1] of Hermitian components, the component axis
+    leading, contiguous, and is overwritten: its first pass runs in place,
+    which is faster than reading a strided half.  The passes are one-axis
+    calls of numpy's n-D functions, which allocate no n^3 intermediates as
+    a 3-axis `irfftn` would.
     """
-    np.fft.ifftn(half, axes=(1,), norm="forward", out=buf)
+    np.fft.ifftn(buf, axes=(1,), norm="forward", out=buf)
     np.fft.ifftn(buf, axes=(2,), norm="forward", out=buf)
     np.fft.irfftn(buf, s=out.shape[-1:], axes=(3,), norm="forward", out=out)
 
@@ -337,13 +413,13 @@ def to_physical(*fields: SpectralField) -> np.ndarray:
 
     def job(s, buf):
         f, c = divmod(s.start, 3)
-        if s.stop <= 3 * f + 3:  # one field holds them: read them in place
-            _real_inverse(halves[f][c:c + s.stop - s.start], buf, out[s])
+        if s.stop <= 3 * f + 3:  # one field holds them
+            np.copyto(buf, halves[f][c:c + s.stop - s.start])
         else:  # every component of several fields (n < _POOL_MIN_N)
             np.concatenate(halves, out=buf)
-            _real_inverse(buf, buf, out[s])
+        _real_inverse(buf, out[s])
 
-    _transform_components(n, len(out), job, scratch=True)
+    _transform_components(n, len(out), job, (n, n, n // 2 + 1))
     return out
 
 
@@ -368,60 +444,97 @@ def from_physical(grid: Grid, samples: np.ndarray):
         np.fft.fftn(coeffs[s], axes=(1, 2, 3), out=coeffs[s])
         np.divide(coeffs[s], n**3, out=coeffs[s])
 
-    _transform_components(n, len(coeffs), job, scratch=False)
+    _transform_components(n, len(coeffs), job, None)
     coeffs[:, 0, 0, 0] = 0.0
     fields = tuple(SpectralField(grid, coeffs[i:i + 3])
                    for i in range(0, len(coeffs), 3))
     return fields[0] if len(fields) == 1 else fields
 
 
-def _mask_slab(s, c, mask):
-    np.multiply(c[:, s], mask[s], out=c[:, s])
+def _band_forward(samples: np.ndarray) -> np.ndarray:
+    """The 2/3-rule band of the forward transform of stacked samples.
+
+    samples has shape (m, n, n, n); the result, shape (m, B, B, B) in
+    `_Band`'s layout, holds from_physical's coefficients at the band's modes
+    bit for bit, k = 0 pinned to 0.  It computes the lines of numpy's
+    fftn(axes=(1, 2, 3)) in its order, last axis first, but only those the
+    band reads: along axis 3 every line, along axis 2 the lines in the
+    band's k_3 planes, along axis 1 those in its (k_2, k_3) columns.  Each
+    pass runs in place on a contiguous copy of the lines it reads (the
+    axis-1 pass in the memory of the axis-3 pass), as passes over strided
+    views of a few lines each are slower.
+    """
+    m, n = samples.shape[0], samples.shape[-1]
+    B, runs = _band(n).width, _band(n).pieces()
+    out = np.empty((m, B, B, B), dtype=np.complex128)
+
+    def job(s, buf):
+        k, flat = s.stop - s.start, buf.reshape(-1)
+        full = flat[:k * n**3].reshape(k, n, n, n)
+        planes = flat[k * n**3:].reshape(k, n, n, B)
+        columns = flat[:k * n * B * B].reshape(k, n, B, B)
+        full[...] = samples[s]
+        np.fft.fftn(full, axes=(3,), out=full)
+        for b, g in runs:
+            planes[..., b] = full[..., g]
+        np.fft.fftn(planes, axes=(2,), out=planes)
+        for b, g in runs:
+            columns[:, :, b] = planes[:, :, g]
+        np.fft.fftn(columns, axes=(1,), out=columns)
+        for b, g in runs:
+            out[s, b] = columns[:, g]
+        np.divide(out[s], n**3, out=out[s])
+
+    _transform_components(n, m, job, (n**3 + n * n * B,))
+    out[:, 0, 0, 0] = 0.0
+    return out
 
 
-def _dealias_in_place(v: SpectralField) -> SpectralField:
-    """Multiply v by the 2/3-rule mask in place; returns v."""
-    _over_slabs(v.grid.n, _mask_slab, v.coeffs, _tables(v.grid.n).mask)
-    return v
+def _from_band(band: np.ndarray, n: int) -> np.ndarray:
+    """Full (m, n, n, n) coefficients: the band array written in, +0.0
+    at every other mode."""
+    out = np.zeros((len(band), n, n, n), dtype=np.complex128)
+    for b, g in _band(n).blocks():
+        out[g] = band[b]
+    return out
 
 
 def dealias(v: SpectralField) -> SpectralField:
     """Zero every mode with any |k_i| > n/3 (2/3 rule); idempotent."""
-    return _dealias_in_place(v.copy())
+    return SpectralField(v.grid, v.coeffs * v.grid.band_mask(v.grid.n / 3.0))
 
 
-def _leray_slab(s, c, kdotv, term, tables):
-    k = (tables.k[0][s], *tables.k[1:])
+def _leray_slab(s, c, kdotv, term, k, k2norm):
+    """Leray-project slab s of c, 3 components, with the tables k and
+    k2norm of its layout (`_Tables`' for full arrays, `_Band`'s for band
+    arrays); kdotv and term are scratch of one component's shape."""
+    k = (k[0][s], *k[1:])
     c, kdotv, term = c[:, s], kdotv[s], term[s]
     np.multiply(k[0], c[0], out=kdotv)
     np.multiply(k[1], c[1], out=term)
     kdotv += term
     np.multiply(k[2], c[2], out=term)
     kdotv += term
-    kdotv /= tables.k2norm[s]
+    kdotv /= k2norm[s]
     for ci, km in zip(c, k):
         np.multiply(km, kdotv, out=term)
         ci -= term
-
-
-def _leray_in_place(v: SpectralField) -> SpectralField:
-    """Leray-project v in place with two n^3 scratch arrays; returns v.
-
-    Evaluates c_i - k_i ((k1 c_1 + k2 c_2 + k3 c_3) / |k|^2) in that order.
-    """
-    n = v.grid.n
-    kdotv, term = np.empty((2, n, n, n), dtype=np.complex128)
-    _over_slabs(n, _leray_slab, v.coeffs, kdotv, term, _tables(n))
-    v.coeffs[:, 0, 0, 0] = 0.0
-    return v
 
 
 def leray_project(v: SpectralField) -> SpectralField:
     """Per-mode projection v_hat_k -> v_hat_k - k (k.v_hat_k)/|k|^2.
 
     Annihilates gradient fields, fixes divergence-free fields, idempotent.
+    Evaluates c_i - k_i ((k1 c_1 + k2 c_2 + k3 c_3) / |k|^2) in that order,
+    on a copy, with two n^3 scratch arrays.
     """
-    return _leray_in_place(v.copy())
+    out = v.copy()
+    n, tables = v.grid.n, _tables(v.grid.n)
+    kdotv, term = np.empty((2, n, n, n), dtype=np.complex128)
+    _over_slabs(n, _leray_slab, out.coeffs, kdotv, term, tables.k,
+                tables.k2norm)
+    out.coeffs[:, 0, 0, 0] = 0.0
+    return out
 
 
 @dataclass

@@ -19,6 +19,7 @@ energy balance check with a half step and a full step per dt, and the
 lemma constants with an advect per row and a weight array per m.
 """
 
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -44,7 +45,6 @@ from gevreymhd.radius import _rk4_interval
 from gevreymhd.solver import (
     RunResult,
     StepError,
-    Tendency,
     _sample_diagnostics,
     cfl_timestep,
     step_rk4,
@@ -216,6 +216,10 @@ def rk4_chain(times, a_series, b_series, tau0: float) -> np.ndarray:
     return np.array(taus)
 
 
+# du and dh name the tendencies of omega and current, as they do for u, h.
+CurlTendency = namedtuple("CurlTendency", "du dh")
+
+
 def rhs_curl(state):
     """Tendency of the vorticity/current pair of a primitive state.
 
@@ -226,8 +230,8 @@ def rhs_curl(state):
     tend = {"omega": 0.0, "current": 0.0}
     for a, b, c, sign, _ in CURL_TERMS:
         tend[c] = tend[c] + sign * advect(fields[a], fields[b]).coeffs
-    return Tendency(*(SpectralField(state.grid, tend[c])
-                      for c in ("omega", "current")))
+    return CurlTendency(*(SpectralField(state.grid, tend[c])
+                          for c in ("omega", "current")))
 
 
 def transform_trilinear(a, b, c, spec):

@@ -147,6 +147,12 @@ def non_solenoidal_payload_checkpoint(path):
     edited_checkpoint(path, ((0, 1, 0, 0), 0.01), ((0, -1, 0, 0), 0.01))
 
 
+def out_of_band_payload_checkpoint(path):
+    # u_2 at k = (6, 0, 0) and at its partner -k: Hermitian and solenoidal,
+    # outside the 2/3 band of n = 16 (every |k_i| <= 5).
+    edited_checkpoint(path, ((1, 6, 0, 0), 0.01), ((1, -6, 0, 0), 0.01))
+
+
 BAD_PAYLOADS = [
     (nan_payload_checkpoint,
      "checkpoint error: field u has non-finite coefficients"),
@@ -154,6 +160,8 @@ BAD_PAYLOADS = [
      "checkpoint error: field u has a Hermitian defect of 1.000e-02"),
     (non_solenoidal_payload_checkpoint,
      "checkpoint error: field u has a divergence defect of 1.000e-02"),
+    (out_of_band_payload_checkpoint,
+     "checkpoint error: field u has a band defect of 1.000e-02"),
 ]
 
 

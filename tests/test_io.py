@@ -343,6 +343,21 @@ class TestCli:
         assert np.max(np.abs(full.u.coeffs - resumed.u.coeffs)) < 1e-12 * scale
         assert np.max(np.abs(full.h.coeffs - resumed.h.coeffs)) < 1e-12 * scale
 
+    @pytest.mark.parametrize("initial", [
+        "kind = taylor-green",
+        "kind = random-band\nseed = 3\nkmax = 2\namplitude = 0.05",
+    ], ids=["taylor-green", "random-band"])
+    def test_checkpoint_a_run_writes_loads(self, tmp_path, initial):
+        # A stepped state is +0.0 outside the 2/3 band, byte for byte.
+        text = BASE_CFG.format(outdir=tmp_path / "out").replace(
+            "kind = taylor-green", initial) + "checkpoint = ck.gmhd\n"
+        assert self.run_cli("run", str(write_cfg(tmp_path, text))) == 0
+        state, _, _ = load_checkpoint(tmp_path / "out" / "ck.gmhd")
+        outside = ~state.grid.band_mask(state.grid.n / 3.0)
+        for field in (state.u, state.h):
+            assert field.max_amplitude() > 0
+            assert not np.any(field.coeffs[:, outside].copy().view(np.uint8))
+
     def test_resume_grid_mismatch(self, tmp_path, capsys):
         st = taylor_green_mhd(Grid(8))
         ck = tmp_path / "small.gmhd"

@@ -433,3 +433,42 @@ class TestSlabs:
         with np.errstate(invalid="raise"):
             with pytest.raises(FloatingPointError):
                 dealias(v)
+
+
+class TestBand:
+    """The 2/3-rule band layout and the band forward transform."""
+
+    @pytest.mark.parametrize("n", range(8, 97, 2))
+    def test_band_is_what_the_mask_keeps(self, n):
+        band = spectral._band(n)
+        rows = band.rows
+        assert len(rows) == band.width == 2 * (n // 3) + 1
+        kept = np.zeros((n, n, n), dtype=bool)
+        kept[np.ix_(rows, rows, rows)] = True
+        assert np.array_equal(kept, Grid(n).band_mask(n / 3))
+        # The blocks put band index j at grid index rows[j] on each axis,
+        # and a split of the first axis into slabs covers each index once.
+        values = 1.0 + np.arange(band.width**3, dtype=np.complex128)
+        values = values.reshape(1, band.width, band.width, band.width)
+        full = spectral._from_band(values, n)
+        assert np.array_equal(full[0][np.ix_(rows, rows, rows)], values[0])
+        assert np.count_nonzero(full) == band.width**3
+        cover = np.zeros(values.shape, dtype=int)
+        for lo, hi in ((0, 1), (1, band.width // 2), (band.width // 2, None)):
+            for b, _ in band.blocks(slice(lo, hi)):
+                cover[b] += 1
+        assert np.all(cover == 1)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("n", [8, 16, 20, 24, 64])
+    def test_band_forward_is_numpy_fftn_at_kept_modes(self, n, cpus,
+                                                       monkeypatch):
+        TestPooledTransforms.force_cpus(monkeypatch, cpus)
+        samples = np.random.default_rng(n).standard_normal((6, n, n, n))
+        rows = spectral._band(n).rows
+        full = np.fft.fftn(samples, axes=(1, 2, 3)) / n**3
+        want = full[:, rows][:, :, rows][:, :, :, rows]
+        want[:, 0, 0, 0] = 0.0
+        got = spectral._band_forward(samples)
+        assert np.array_equal(got.view(np.uint8),
+                              np.ascontiguousarray(want).view(np.uint8))
