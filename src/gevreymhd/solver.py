@@ -6,17 +6,20 @@ pseudo-spectrally and dealiased with the 2/3 rule every stage.  A stage's
 tendency lives on the 2/3 band only: the products' forward transform makes
 just the band's modes (`spectral._band_forward`), and the Leray projection,
 the sign flip, the finiteness check and the RK4 sums run on those band
-arrays, a `Tendency` carrying them.  Every nonzero coefficient a step makes
-has the bits of the full-size textbook evaluation, and a stepped state is
-+0.0 outside the band.  The lab checks the weighted vorticity/current
-balance on states this stepper produces.  The run loop steps and samples;
-its records carry the gradient integral I(t) but no radius, which
-`radius.RadiusTracker` fills in afterwards.  A state the loop samples or
-takes a CFL step from is transformed once, by the first RK4 stage of the
-step that follows, which also reduces the CFL speed and the gradient
-sup-norms.
+arrays, a `Tendency` carrying them.  At n >= 64 each of these passes but
+the finiteness check, one numpy call, runs slab by slab on the transform
+pool.  Every nonzero coefficient a step makes has the bits of the full-size
+textbook evaluation, and a stepped state is +0.0 outside the band.  The
+lab checks the weighted vorticity/current balance on states this stepper
+produces.  The run loop steps and samples; its records carry the gradient
+integral I(t) but no radius, which `radius.RadiusTracker` fills in
+afterwards.  A state the loop samples or takes a CFL step from is
+transformed once, by the first RK4 stage of the step that follows,
+`rhs_primitive(state, "maxima")`, whose `Tendency` also carries the CFL
+speed and the gradient sup-norms.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,27 +52,21 @@ class StepError(RuntimeError):
     """Non-finite values appeared during a time step."""
 
 
-@dataclass(frozen=True)
-class StateMaxima:
-    """Collocation maxima of a primitive state, from its first RK4 stage."""
-
-    speed: float  # max(|u| + |h|), which sets the CFL step
-    grad_u: tuple  # sup_gradient(u): max |grad u| and max |curl u|
-    grad_h: tuple  # sup_gradient(h)
-
-
 @dataclass
 class Tendency:
     """Time derivatives of the primitive pair (u, h), on the 2/3 band.
 
     band holds du's three components, then dh's, at the band's modes: shape
     (6, B, B, B) in `spectral._Band`'s layout.  du and dh write them into
-    full fields that are +0.0 at every other mode.
+    full fields that are +0.0 at every other mode.  The state's collocation
+    maxima are None unless `rhs_primitive`'s `reduce` asked for them.
     """
 
     grid: Grid
     band: np.ndarray
-    maxima: StateMaxima | None = None  # rhs_primitive(state, maxima=True)
+    speed: float | None = None  # max(|u| + |h|), which sets the CFL step
+    grad_u: tuple | None = None  # sup_gradient(u): max |grad u|, max |curl u|
+    grad_h: tuple | None = None  # sup_gradient(h)
 
     @property
     def du(self) -> SpectralField:
@@ -154,10 +151,10 @@ def _nonlinear(state: MHDState, reduce: str | None):
     """Physical-space evaluation of (u.grad)u - (h.grad)h and (u.grad)h - (h.grad)u.
 
     Shares the transforms of u, h and their gradients across the four
-    advection terms, with one gradient tensor alive at a time; returns the
-    2/3-rule band of the two products' forward transforms, and what
-    `reduce` asks for from those samples and tensors: the StateMaxima for
-    "maxima", the CFL speed alone for "speed", else None.
+    advection terms, with one gradient tensor alive at a time.  Returns
+    (band, speed, sups_u, sups_h): the 2/3-rule band of the two products'
+    forward transforms, then the maxima `reduce` asks for from those
+    samples and tensors, None where it asks for none.
     """
     grid = state.grid
     phys = to_physical(state.u, state.h)
@@ -172,9 +169,9 @@ def _nonlinear(state: MHDState, reduce: str | None):
     tmp = np.empty_like(phys[:3])
     _over_slabs(grid.n, _advect_difference_slab, phys, grad, prod, tmp)
     del phys, tmp
-    found = StateMaxima(speed, sups_u, gradient_sups(grad)) if sups else speed
+    sups_h = gradient_sups(grad) if sups else None
     del grad
-    return _band_forward(prod), found
+    return _band_forward(prod), speed, sups_u, sups_h
 
 
 def _project_slab(s, band, kdotv, term, k, k2norm, negate):
@@ -196,22 +193,21 @@ def _project_band(band: np.ndarray, n: int, negate: bool) -> None:
     band[:, 0, 0, 0] = 0.0
 
 
-def _rhs_primitive(state: MHDState, reduce: str | None):
-    """rhs_primitive's band, then what `reduce` asks `_nonlinear` for."""
-    band, found = _nonlinear(state, reduce)
-    _project_band(band, state.grid.n, negate=True)
-    return band, found
-
-
-def rhs_primitive(state: MHDState, maxima: bool = False) -> Tendency:
+def rhs_primitive(state: MHDState, reduce: str | None = None) -> Tendency:
     """du = -P[(u.grad)u - (h.grad)h], dh = -P[(u.grad)h - (h.grad)u].
 
-    With `maxima` the tendency also carries the state's StateMaxima, reduced
-    from the samples and gradient tensors the evaluation makes anyway, so a
-    caller that steps from the state transforms it once.
+    `reduce` asks the tendency to carry the state's collocation maxima too,
+    reduced from the samples and gradient tensors the evaluation makes
+    anyway, so a caller that steps from the state transforms it once:
+    "speed" for the speed alone, "maxima" for it and both gradient
+    sup-norms.
     """
-    return Tendency(state.grid,
-                    *_rhs_primitive(state, "maxima" if maxima else None))
+    if reduce not in (None, "speed", "maxima"):
+        raise ValueError(
+            f"reduce must be None, 'speed' or 'maxima', got {reduce!r}")
+    band, *maxima = _nonlinear(state, reduce)
+    _project_band(band, state.grid.n, negate=True)
+    return Tendency(state.grid, band, *maxima)
 
 
 # The RK4 passes below run on band slab s, band indices s of the first mode
@@ -240,13 +236,10 @@ def _update_slab(s, total, y0, a, band):
             np.add(y0f[g], tf[b], out=tf[b])
 
 
-def _finite_slab(s, arrays, flags):
-    """Whether slab s of every array is finite; flags is the scratch."""
-    ok = True
-    for c in arrays:
-        np.isfinite(c[:, s], out=flags[:, s])
-        ok = ok and bool(flags[:, s].all())
-    return ok
+def _require_positive(name: str, value: float) -> None:
+    """Raise a ValueError naming the argument unless value is finite, > 0."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def _cfl_dt(speed: float, spacing: float, cfl: float) -> float:
@@ -258,6 +251,7 @@ def _cfl_dt(speed: float, spacing: float, cfl: float) -> float:
 
 def cfl_timestep(state: MHDState, cfl: float = 0.5) -> float:
     """dt = cfl * dx / max(|u| + |h|) at collocation points."""
+    _require_positive("cfl", cfl)
     speed = _max_speed(to_physical(state.u, state.h))
     return _cfl_dt(speed, state.grid.spacing, cfl)
 
@@ -270,15 +264,12 @@ def step_rk4(state: MHDState, dt: float,
     rhs_primitive(state) evaluated by the caller; the step sums the stages
     into its band.  A non-finite stage tendency raises StepError.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    _require_positive("dt", dt)
     grid, n, band = state.grid, state.grid.n, _band(state.grid.n)
     y0 = (state.u.coeffs, state.h.coeffs)
-    flags = np.empty((6, *(band.width,) * 3), dtype=bool)
 
     def checked(tend: Tendency, t_stage: float) -> np.ndarray:
-        if not all(_over_slabs(n, _finite_slab, (tend.band,), flags,
-                               planes=band.width)):
+        if not np.isfinite(tend.band).all():
             raise StepError(
                 f"non-finite tendency at t={t_stage:.6g} (dt={dt:.3g})"
             )
@@ -291,7 +282,8 @@ def step_rk4(state: MHDState, dt: float,
     # it, so only one is alive while a stage runs.  A stage input is y0 with
     # y0 + a k written into its band, in one copy of y0 whose other modes
     # are never written; the step makes no other temporaries of its own,
-    # and every pass runs slab by slab on the transform pool at n >= 64.
+    # and every pass but the finiteness check runs slab by slab on the
+    # transform pool at n >= 64.
     # This is the textbook combination evaluated left to right with the
     # scalar as the left operand, bit for bit at every nonzero coefficient,
     # which the reference outputs depend on.
@@ -330,18 +322,18 @@ BLOWUP_FACTOR = 1e6  # bound on the growth of bkm_integrand in a run
 
 
 def _sample_diagnostics(state: MHDState, params: GevreyParams,
-                        maxima: StateMaxima | None = None):
+                        stage: Tendency | None = None):
     """The record of a state with every column but the radius ones.
 
-    The gradient sup-norms come from `maxima` when the caller has the
-    state's first stage, else from sup_gradient.
+    The gradient sup-norms come from `stage`, the state's first stage with
+    its maxima, when the caller has it, else from sup_gradient.
     """
     omega = curl(state.u)
     current = curl(state.h)
-    if maxima is None:
+    if stage is None:
         sups = sup_gradient(state.u), sup_gradient(state.h)
     else:
-        sups = maxima.grad_u, maxima.grad_h
+        sups = stage.grad_u, stage.grad_h
     (grad_u, omega_sup), (grad_h, current_sup) = sups
     norms = state_norms(omega, current, params)
     try:
@@ -367,10 +359,16 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
     bkm_integrand grows by more than BLOWUP_FACTOR from its initial value,
     and with status "non-finite" when a step produces non-finite values; the
     state returned is then the one before that step, and the last record
-    samples it.
+    samples it.  dt or cfl must be finite and > 0, t_end finite and
+    cadence an integer >= 1.
     """
     if (dt is None) == (cfl is None):
         raise ValueError("exactly one of dt and cfl must be given")
+    _require_positive(*(("dt", dt) if cfl is None else ("cfl", cfl)))
+    if not np.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
+    if not isinstance(cadence, numbers.Integral) or cadence < 1:
+        raise ValueError(f"cadence must be an integer >= 1, got {cadence!r}")
     params.warn_if_subcritical()
     records = []
     # One stop time for the loop and the final off-cadence sample, so a
@@ -383,11 +381,10 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
     # between samples reduces the speed alone.  A sample with no step after
     # it transforms its state itself.
     def first_stage(state: MHDState) -> Tendency | None:
-        return rhs_primitive(state, maxima=True) if state.t < t_stop else None
+        return rhs_primitive(state, "maxima") if state.t < t_stop else None
 
     def sample(state: MHDState, k1: Tendency | None = None) -> None:
-        rec = _sample_diagnostics(state, params,
-                                  None if k1 is None else k1.maxima)
+        rec = _sample_diagnostics(state, params, k1)
         if records:
             last = records[-1]
             rec.grad_integral = (last.grad_integral + 0.5 * (
@@ -402,11 +399,8 @@ def run(state: MHDState, *, params: GevreyParams, t_end: float,
     while state.t < t_stop:
         if cfl is not None:
             if k1 is None:  # a state between samples
-                k1_band, speed = _rhs_primitive(state, "speed")
-                k1 = Tendency(state.grid, k1_band)
-            else:
-                speed = k1.maxima.speed
-            step_dt = min(_cfl_dt(speed, state.grid.spacing, cfl),
+                k1 = rhs_primitive(state, "speed")
+            step_dt = min(_cfl_dt(k1.speed, state.grid.spacing, cfl),
                           t_end - state.t)
         else:
             step_dt = min(dt, t_end - state.t)

@@ -23,27 +23,28 @@ the solver's and the operators' products, makes only the 2/3-rule band
 (`_Band`), the modes with every |k_i| <= n/3, 0.30 of them at n = 64: it
 runs numpy's passes in numpy's order, each on the lines the band reads, so
 each kept coefficient has the same bits.  Every transform works in arrays
-the caller allocated, with the component axis leading, and takes the
-components of several fields in one call.  Below n = 64 (`_POOL_MIN_N`)
-each pass is one numpy call over all of a transform's components, on the
-calling thread, as a second thread gained little or lost there: the samples
-of any number of fields, a gradient tensor and a band forward transform
-take three calls each.  On grids with n >= 64 the components are split
-into one contiguous group per CPU in the process's affinity mask, and a
-group transforms one component per call in its own one-component scratch;
-the calling thread runs one group and a module-level thread pool, created
-on first use, runs the others.  numpy's transforms release the interpreter
-lock, so the groups run in parallel, and the u and h of a state,
-transformed together, make six components that split evenly over two or
-three CPUs.  The elementwise passes (the Leray projection, the advection
-products, the RK4 updates, the curl and the sample-side maxima) run on the
-same pool through `_over_slabs`, which splits the first mode axis, or the
-band's, into one slab per CPU; smaller grids run them on the calling
-thread.  A pass over the component axis computes each component with the
-same arithmetic as a call on that component alone, and an elementwise pass
-computes each entry the same way on any slab, so the outputs are
-bit-identical for any thread count and for either way of batching the
-components.
+the caller allocated, with the component axis leading; `to_physical` and
+`_band_forward` take the components of several fields in one call.  Below
+n = 64 (`_POOL_MIN_N`) each pass is one numpy call over all of a transform's
+components, on the calling thread, as a second thread gained little or lost
+there: the samples of any number of fields, a gradient tensor and a band
+forward transform take three calls each.  On grids with n >= 64 the
+components are split into one contiguous group per CPU in the process's
+affinity mask, and a group transforms one component per call in its own
+one-component scratch; the calling thread runs one group and a module-level
+thread pool, created on first use, runs the others.  numpy's transforms
+release the interpreter lock, so the groups run in parallel, and the u and h
+of a state, transformed together, make six components that split evenly over
+two or three CPUs.  The elementwise passes (the Leray projection, the
+advection products, the RK4 updates, the curl and the sample-side maxima)
+run on the same pool through `_over_slabs`, which splits the first mode
+axis, or the band's, into one slab per CPU; smaller grids run them on the
+calling thread, and so does the solver's finiteness check of a stage at
+every n, one numpy call that was no faster pooled.  A pass over the
+component axis computes each component with the same arithmetic as a call on
+that component alone, and an elementwise pass computes each entry the same
+way on any slab, so the outputs are bit-identical for any thread count and
+for either way of batching the components.
 
 The per-mode tables of the spectral operators (wavevectors, derivative
 multipliers and the Leray denominator |k|^2, full-size in `_tables` and at
@@ -423,17 +424,12 @@ def to_physical(*fields: SpectralField) -> np.ndarray:
     return out
 
 
-def from_physical(grid: Grid, samples: np.ndarray):
-    """Forward transform of collocation samples; pins the mean mode to zero.
-
-    samples of shape (3, n, n, n) give one SpectralField; the stacked
-    samples of m fields, shape (3m, n, n, n) as `to_physical` returns them,
-    give a tuple of m fields that share one coefficient array.
-    """
+def from_physical(grid: Grid, samples: np.ndarray) -> SpectralField:
+    """Forward transform of the (3, n, n, n) collocation samples of one
+    field; pins the mean mode to zero."""
     samples = np.asarray(samples, dtype=np.float64)
     n = grid.n
-    if (samples.ndim != 4 or samples.shape[1:] != (n, n, n)
-            or samples.shape[0] % 3 or not samples.shape[0]):
+    if samples.shape != (3, n, n, n):
         raise GridError(
             f"sample array shape {samples.shape} does not match grid n={n}"
         )
@@ -446,9 +442,7 @@ def from_physical(grid: Grid, samples: np.ndarray):
 
     _transform_components(n, len(coeffs), job, None)
     coeffs[:, 0, 0, 0] = 0.0
-    fields = tuple(SpectralField(grid, coeffs[i:i + 3])
-                   for i in range(0, len(coeffs), 3))
-    return fields[0] if len(fields) == 1 else fields
+    return SpectralField(grid, coeffs)
 
 
 def _band_forward(samples: np.ndarray) -> np.ndarray:

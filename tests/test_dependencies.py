@@ -1,7 +1,8 @@
 """The package imports nothing beyond the standard library and its declared
 dependencies (numpy, as pyproject.toml lists), the CLI starts without the
-verification lab, the solver loads without the radius tracker, and no module
-of the package or its tests imports a name it never reads."""
+verification lab, the solver loads without the radius tracker, no module
+of the package or its tests imports a name it never reads, and every name
+the package defines at module level is read somewhere."""
 
 import ast
 import os
@@ -104,4 +105,42 @@ def test_no_dead_private_names():
             elif isinstance(node, ast.alias):
                 read.add(node.name)
     assert defined
+    assert [where for where, name in defined if name not in read] == []
+
+
+def test_no_dead_public_names():
+    # Every module-level public name of the package (a def, a class or an
+    # assignment) is read somewhere other than its definition, in the
+    # package, its tests, its tools or the benchmark: as a loaded name, as
+    # an attribute, as an imported alias or as a string constant, which is
+    # how the benchmark's tracer names the functions it wraps.
+    root = SRC.parents[1]
+    defined, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(f"{path.name}:{node.lineno}: {name}", name)
+                        for name in names if not name.startswith("_")]
+    for folder in ("src/gevreymhd", "tests", "tools", "perfbench"):
+        for path in sorted((root / folder).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                             ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    read.add(node.name)
+                elif (isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)):
+                    read.add(node.value)
+    assert len(defined) > 50
     assert [where for where, name in defined if name not in read] == []

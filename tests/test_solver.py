@@ -140,6 +140,33 @@ class TestStepping:
         with pytest.raises(ValueError):
             step_rk4(st, 0.0)
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda st: step_rk4(st, np.nan), "dt"),
+        (lambda st: step_rk4(st, np.inf), "dt"),
+        (lambda st: cfl_timestep(st, -1.0), "cfl"),
+        (lambda st: cfl_timestep(st, np.nan), "cfl"),
+        (lambda st: rhs_primitive(st, "speeds"), "reduce"),
+        (lambda st: rhs_primitive(st, True), "reduce"),
+    ], ids=["step-nan", "step-inf", "cfl-negative", "cfl-nan",
+            "reduce-unknown", "reduce-bool"])
+    def test_bad_controls_raise_before_a_stage(self, call, name, monkeypatch):
+        monkeypatch.setattr(solver, "_nonlinear", no_stage)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            call(taylor_green_mhd(Grid(8)))
+
+    def test_tendency_carries_the_maxima_asked_for(self):
+        st = random_band(Grid(16), seed=5, kmax=4)
+        plain, speed, maxima = (rhs_primitive(st, reduce)
+                                for reduce in (None, "speed", "maxima"))
+        for tend in (speed, maxima):
+            assert np.array_equal(as_bytes(tend.band), as_bytes(plain.band))
+        phys = to_physical(st.u, st.h)
+        assert plain.speed is plain.grad_u is plain.grad_h is None
+        assert speed.speed == maxima.speed == solver._max_speed(phys)
+        assert speed.grad_u is speed.grad_h is None
+        assert maxima.grad_u == norms.sup_gradient(st.u)
+        assert maxima.grad_h == norms.sup_gradient(st.h)
+
     def test_step_raises_on_nonfinite(self):
         st = taylor_green_mhd(Grid(16))
         st.u.coeffs[0, 1, 0, 0] = np.nan
@@ -417,6 +444,10 @@ def counted_calls(fn, count: list):
     return wrapper
 
 
+def no_stage(*args):
+    raise AssertionError("a stage tendency was evaluated")
+
+
 def rb16_state():
     """The random-band n=16 state of the dense CFL benchmark, seed 0."""
     return random_band(Grid(16), seed=0, kmax=2, amplitude=0.05)
@@ -528,6 +559,25 @@ class TestRunLoop:
             run(st, params=smooth_params(), t_end=0.1)
         with pytest.raises(ValueError):
             run(st, params=smooth_params(), t_end=0.1, dt=0.01, cfl=0.5)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(dt=0.01, cadence=0), "cadence"),
+        (dict(dt=0.01, cadence=-1), "cadence"),
+        (dict(dt=0.01, cadence=1.5), "cadence"),
+        (dict(dt=np.nan), "dt"),
+        (dict(dt=-0.01), "dt"),
+        (dict(cfl=np.nan), "cfl"),
+        (dict(cfl=-0.5), "cfl"),
+        (dict(cfl=np.inf), "cfl"),
+        (dict(dt=0.01, t_end=np.nan), "t_end"),
+        (dict(dt=0.01, t_end=np.inf), "t_end"),
+    ])
+    def test_run_rejects_bad_step_controls(self, kwargs, name, monkeypatch):
+        monkeypatch.setattr(solver, "_nonlinear", no_stage)
+        kwargs = {"t_end": 0.1, **kwargs}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            run(taylor_green_mhd(Grid(8)), params=GevreyParams(r=4.5, tau=0.1),
+                **kwargs)
 
     def test_tau_decreases_and_dominates_lower_bound(self):
         st = taylor_green_mhd(Grid(16))

@@ -39,15 +39,6 @@ def median_ms(call) -> float:
     return round(1e3 * statistics.median(times), 3)
 
 
-def product_forward(grid: Grid, samples: np.ndarray):
-    """The forward transform a stage applies to its products."""
-    if hasattr(spectral, "_band_forward"):
-        return lambda: spectral._band_forward(samples)
-    # Code without the band transform: the full transform, then the mask.
-    return lambda: [spectral._dealias_in_place(v)
-                    for v in spectral.from_physical(grid, samples)]
-
-
 def main(label: str, out: Path) -> None:
     checkout = Path(spectral.__file__).resolve().parents[2]
     commit = subprocess.run(
@@ -58,8 +49,8 @@ def main(label: str, out: Path) -> None:
         state = taylor_green_mhd(Grid(n))
         samples = to_physical(state.u, state.h)
         times[f"n{n}"] = {
-            "product_forward_ms": median_ms(product_forward(state.grid,
-                                                            samples)),
+            "product_forward_ms": median_ms(
+                lambda: spectral._band_forward(samples)),
             "rhs_primitive_ms": median_ms(lambda: rhs_primitive(state)),
             "step_rk4_ms": median_ms(lambda: step_rk4(state, 0.005)),
         }
