@@ -417,7 +417,7 @@ def energy_balance_check(state: MHDState, spec: MultiplierSpec,
     k1 = rhs_primitive(state)
     for step, length in enumerate(lengths, 1):
         if step < len(lengths):
-            stage = Tendency(k1.grid, k1.band.copy())
+            stage = Tendency(k1.band.copy())
         else:
             stage, k1 = k1, None
         stepped = step_rk4(state, length, stage)

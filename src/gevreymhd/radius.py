@@ -19,12 +19,13 @@ def _rk4_interval(tau: float, t0: float, t1: float, a0: float, a1: float,
     """RK4 integration of the radius ODE from t0 to t1, starting at tau.
 
     The coefficients run linearly from (a0, b0) to (a1, b1).  The interval
-    is covered by at least _SUBSTEPS RK4 steps; the local step additionally
-    adapts to the instantaneous decay rate a + b*tau, so the result stays
-    strictly positive however stiff the coefficients are.  A substep whose
-    tau is not above 1e-300 (NaN from an overflowing b included) ends the
-    integration early: that tau is returned, and the caller reads it as a
-    collapse.
+    is covered by at least _SUBSTEPS RK4 steps.  A substep h also keeps
+    h (a + b tau) <= 0.2 at its start and, halved as needed, <= 1 with the
+    coefficients at its end and the tau at its start, so the result stays
+    strictly positive however stiff the coefficients are, while b is
+    finite.  A substep whose tau is not above 1e-300 (NaN from an
+    overflowing b included) ends the integration early: that tau is
+    returned, and the caller reads it as a collapse.
     """
     if a0 < 0 or a1 < 0 or b0 < 0 or b1 < 0:
         raise ValueError("coefficient series must be >= 0")
@@ -52,8 +53,13 @@ def _rk4_interval(tau: float, t0: float, t1: float, a0: float, a1: float,
             if rate > 0.0:
                 h = min(h, 0.2 / rate)
             h = min(h, span - t_local)
-            am, bm = coeffs_at(t_local + 0.5 * h)
             a_end, b_end = coeffs_at(t_local + h)
+            # The rate at the substep's end bounds h too, so a b that grows
+            # by decades within the substep cannot overshoot tau below 0.
+            while np.isfinite(b_end) and h * (a_end + b_end * tau) > 1.0:
+                h *= 0.5
+                a_end, b_end = coeffs_at(t_local + h)
+            am, bm = coeffs_at(t_local + 0.5 * h)
             k1 = rhs(tau, a_now, b_now)
             k2 = rhs(tau + 0.5 * h * k1, am, bm)
             k3 = rhs(tau + 0.5 * h * k2, am, bm)

@@ -9,9 +9,9 @@ the sign flip, the finiteness check and the RK4 sums run on those band
 arrays, a `Tendency` carrying them.  At n >= 64 each of these passes but
 the finiteness check, one numpy call, runs slab by slab on the transform
 pool.  Every nonzero coefficient a step makes has the bits of the full-size
-textbook evaluation, and a stepped state is +0.0 outside the band.  The
-lab checks the weighted vorticity/current balance on states this stepper
-produces.  The run loop steps and samples; its records carry the gradient
+textbook evaluation, and a stepped state, like every initial state
+`spectral` builds, is +0.0 outside the band.  The lab checks the weighted
+vorticity/current balance on states this stepper produces.  The run loop steps and samples; its records carry the gradient
 integral I(t) but no radius, which `radius.RadiusTracker` fills in
 afterwards.  A state the loop samples or takes a CFL step from is
 transformed once, by the first RK4 stage of the step that follows,
@@ -36,7 +36,6 @@ from .norms import (
 )
 from .operators import _ADVECTION, curl, gradient_physical, inner_l2
 from .spectral import (
-    Grid,
     MHDState,
     SpectralField,
     _band,
@@ -57,24 +56,15 @@ class Tendency:
     """Time derivatives of the primitive pair (u, h), on the 2/3 band.
 
     band holds du's three components, then dh's, at the band's modes: shape
-    (6, B, B, B) in `spectral._Band`'s layout.  du and dh write them into
-    full fields that are +0.0 at every other mode.  The state's collocation
-    maxima are None unless `rhs_primitive`'s `reduce` asked for them.
+    (6, B, B, B) in `spectral._Band`'s layout; both are zero at every other
+    mode.  The state's collocation maxima are None unless
+    `rhs_primitive`'s `reduce` asked for them.
     """
 
-    grid: Grid
     band: np.ndarray
     speed: float | None = None  # max(|u| + |h|), which sets the CFL step
     grad_u: tuple | None = None  # sup_gradient(u): max |grad u|, max |curl u|
     grad_h: tuple | None = None  # sup_gradient(h)
-
-    @property
-    def du(self) -> SpectralField:
-        return SpectralField(self.grid, _from_band(self.band[:3], self.grid.n))
-
-    @property
-    def dh(self) -> SpectralField:
-        return SpectralField(self.grid, _from_band(self.band[3:], self.grid.n))
 
 
 @dataclass
@@ -207,7 +197,7 @@ def rhs_primitive(state: MHDState, reduce: str | None = None) -> Tendency:
             f"reduce must be None, 'speed' or 'maxima', got {reduce!r}")
     band, *maxima = _nonlinear(state, reduce)
     _project_band(band, state.grid.n, negate=True)
-    return Tendency(state.grid, band, *maxima)
+    return Tendency(band, *maxima)
 
 
 # The RK4 passes below run on band slab s, band indices s of the first mode

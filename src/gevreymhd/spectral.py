@@ -17,18 +17,20 @@ complex-to-real inverse along the third written straight into the output,
 about half the work of a complex 3-D inverse.  The derivative multipliers
 i k_m, which the gradient and the curl share, are zero at the wavenumber
 n/2, whose mode is its own conjugate partner, so a derivative stays
-Hermitian.  The forward transforms are complex.  `from_physical`, which
-builds initial states, makes every mode; `_band_forward`, which transforms
-the solver's and the operators' products, makes only the 2/3-rule band
-(`_Band`), the modes with every |k_i| <= n/3, 0.30 of them at n = 64: it
-runs numpy's passes in numpy's order, each on the lines the band reads, so
-each kept coefficient has the same bits.  Every transform works in arrays
-the caller allocated, with the component axis leading; `to_physical` and
-`_band_forward` take the components of several fields in one call.  Below
-n = 64 (`_POOL_MIN_N`) each pass is one numpy call over all of a transform's
-components, on the calling thread, as a second thread gained little or lost
-there: the samples of any number of fields, a gradient tensor and a band
-forward transform take three calls each.  On grids with n >= 64 the
+Hermitian.  The one forward transform, `_band_forward`, is complex and
+makes only the 2/3-rule band (`_Band`), the modes with every |k_i| <= n/3,
+0.30 of them at n = 64: it runs numpy's passes in numpy's order, each on
+the lines the band reads, so each kept coefficient has the bits of numpy's
+full transform.  It transforms the solver's and the operators' products,
+and the samples of the Taylor-Green and Orszag-Tang states, so every
+initial state, like every stepped one, is +0.0 outside the band.  Every
+transform works in arrays the caller allocated, with the component axis
+leading; `to_physical` and `_band_forward` take the components of several
+fields in one call.  Below n = 64 (`_POOL_MIN_N`) each pass is one numpy
+call over all of a transform's components, on the calling thread, as a
+second thread gained little or lost there: the samples of any number of
+fields, a gradient tensor and a band forward transform take three calls
+each.  On grids with n >= 64 the
 components are split into one contiguous group per CPU in the process's
 affinity mask, and a group transforms one component per call in its own
 one-component scratch; the calling thread runs one group and a module-level
@@ -334,26 +336,20 @@ def _transform_components(n: int, count: int, job, scratch) -> None:
     """Call job(s, buf) over slices s of range(count) that cover it once.
 
     buf is complex scratch of shape (len(s), *scratch), scratch being the
-    shape of one component's work (None for no scratch); the caller
-    allocates it, so worker threads allocate nothing large, whose freed
-    blocks glibc's per-thread arenas would keep.  Below _POOL_MIN_N
-    one call covers every component, so each one-axis pass of a transform
-    is one numpy call over all of them.  On larger grids the components are
-    split into contiguous groups, one per CPU, run as `_run_groups` runs
-    them; a group calls job on one component at a time with its own
-    one-component scratch.
+    shape of one component's work; the caller allocates it, so worker
+    threads allocate nothing large, whose freed blocks glibc's per-thread
+    arenas would keep.  Below _POOL_MIN_N one call covers every component,
+    so each one-axis pass of a transform is one numpy call over all of
+    them.  On larger grids the components are split into contiguous groups,
+    one per CPU, run as `_run_groups` runs them; a group calls job on one
+    component at a time with its own one-component scratch.
     """
     if n < _POOL_MIN_N:
-        buf = (None if scratch is None
-               else np.empty((count, *scratch), dtype=np.complex128))
-        job(slice(0, count), buf)
+        job(slice(0, count), np.empty((count, *scratch), dtype=np.complex128))
         return
     groups = min(count, _cpu_count())
     bounds = [count * g // groups for g in range(groups + 1)]
-    if scratch is None:
-        bufs = [None] * groups
-    else:
-        bufs = np.empty((groups, 1, *scratch), dtype=np.complex128)
+    bufs = np.empty((groups, 1, *scratch), dtype=np.complex128)
 
     def run_group(g):
         for i in range(bounds[g], bounds[g + 1]):
@@ -424,33 +420,13 @@ def to_physical(*fields: SpectralField) -> np.ndarray:
     return out
 
 
-def from_physical(grid: Grid, samples: np.ndarray) -> SpectralField:
-    """Forward transform of the (3, n, n, n) collocation samples of one
-    field; pins the mean mode to zero."""
-    samples = np.asarray(samples, dtype=np.float64)
-    n = grid.n
-    if samples.shape != (3, n, n, n):
-        raise GridError(
-            f"sample array shape {samples.shape} does not match grid n={n}"
-        )
-    coeffs = np.empty(samples.shape, dtype=np.complex128)
-
-    def job(s, _):
-        coeffs[s] = samples[s]
-        np.fft.fftn(coeffs[s], axes=(1, 2, 3), out=coeffs[s])
-        np.divide(coeffs[s], n**3, out=coeffs[s])
-
-    _transform_components(n, len(coeffs), job, None)
-    coeffs[:, 0, 0, 0] = 0.0
-    return SpectralField(grid, coeffs)
-
-
 def _band_forward(samples: np.ndarray) -> np.ndarray:
     """The 2/3-rule band of the forward transform of stacked samples.
 
     samples has shape (m, n, n, n); the result, shape (m, B, B, B) in
-    `_Band`'s layout, holds from_physical's coefficients at the band's modes
-    bit for bit, k = 0 pinned to 0.  It computes the lines of numpy's
+    `_Band`'s layout, holds the coefficients of numpy's
+    fftn(samples, axes=(1, 2, 3)) / n**3 at the band's modes bit for bit,
+    k = 0 pinned to 0.  It computes the lines of numpy's
     fftn(axes=(1, 2, 3)) in its order, last axis first, but only those the
     band reads: along axis 3 every line, along axis 2 the lines in the
     band's k_3 planes, along axis 1 those in its (k_2, k_3) columns.  Each
@@ -491,11 +467,6 @@ def _from_band(band: np.ndarray, n: int) -> np.ndarray:
     for b, g in _band(n).blocks():
         out[g] = band[b]
     return out
-
-
-def dealias(v: SpectralField) -> SpectralField:
-    """Zero every mode with any |k_i| > n/3 (2/3 rule); idempotent."""
-    return SpectralField(v.grid, v.coeffs * v.grid.band_mask(v.grid.n / 3.0))
 
 
 def _leray_slab(s, c, kdotv, term, k, k2norm):
@@ -571,6 +542,20 @@ def mode_field(grid: Grid, entries) -> SpectralField:
     return v
 
 
+def _from_samples(grid: Grid, samples: np.ndarray) -> MHDState:
+    """The state whose u and h have the stacked (6, n, n, n) collocation
+    samples, cut to the 2/3 band: each field's band forward transform,
+    +0.0 at every other mode, made Hermitian with k = 0 pinned to 0.
+
+    The fields are transformed one at a time: one call for both raised a
+    Taylor-Green n=64 run's peak RSS by 1.8 MB.
+    """
+    u, h = (symmetrize(SpectralField(
+        grid, _from_band(_band_forward(samples[f:f + 3]), grid.n)))
+        for f in (0, 3))
+    return MHDState(u, h, 0.0)
+
+
 def taylor_green_mhd(grid: Grid, amplitude: float = 1.0) -> MHDState:
     """Taylor-Green velocity with an insulating-type magnetic perturbation.
 
@@ -581,19 +566,14 @@ def taylor_green_mhd(grid: Grid, amplitude: float = 1.0) -> MHDState:
     """
     x = np.arange(grid.n) * grid.spacing
     X, Y, Z = np.meshgrid(x, x, x, indexing="ij")
-    usamp = np.stack([
+    return _from_samples(grid, np.stack([
         amplitude * np.sin(X) * np.cos(Y) * np.cos(Z),
         -amplitude * np.cos(X) * np.sin(Y) * np.cos(Z),
         np.zeros_like(X),
-    ])
-    hsamp = np.stack([
         np.cos(X) * np.sin(Y) * np.sin(Z),
         np.sin(X) * np.cos(Y) * np.sin(Z),
         -2.0 * np.sin(X) * np.sin(Y) * np.cos(Z),
-    ])
-    uf = symmetrize(from_physical(grid, usamp))
-    hf = symmetrize(from_physical(grid, hsamp))
-    return MHDState(uf, hf, 0.0)
+    ]))
 
 
 def orszag_tang_3d(grid: Grid, beta: float = 0.8) -> MHDState:
@@ -604,19 +584,14 @@ def orszag_tang_3d(grid: Grid, beta: float = 0.8) -> MHDState:
     """
     x = np.arange(grid.n) * grid.spacing
     X, Y, Z = np.meshgrid(x, x, x, indexing="ij")
-    usamp = np.stack([
+    return _from_samples(grid, np.stack([
         -2.0 * np.sin(Y),
         2.0 * np.sin(X),
         np.zeros_like(X),
-    ])
-    hsamp = beta * np.stack([
-        -2.0 * np.sin(2.0 * Y) + np.sin(Z),
-        2.0 * np.sin(X) + np.sin(Z),
-        np.sin(X) + np.sin(Y),
-    ])
-    uf = symmetrize(from_physical(grid, usamp))
-    hf = symmetrize(from_physical(grid, hsamp))
-    return MHDState(uf, hf, 0.0)
+        beta * (-2.0 * np.sin(2.0 * Y) + np.sin(Z)),
+        beta * (2.0 * np.sin(X) + np.sin(Z)),
+        beta * (np.sin(X) + np.sin(Y)),
+    ]))
 
 
 def random_band(grid: Grid, seed: int, kmax: int,
@@ -648,7 +623,8 @@ def random_band_field(grid: Grid, seed: int | np.random.Generator, kmax: int,
     rng = np.random.default_rng(seed)
     n = grid.n
     raw = rng.standard_normal((3, n, n, n)) + 1j * rng.standard_normal((3, n, n, n))
-    v = SpectralField(grid, amplitude * raw * grid.band_mask(kmax))
+    # np.where, not a product with the mask, so every mode left out is +0.0.
+    v = SpectralField(grid, np.where(grid.band_mask(kmax), amplitude * raw, 0))
     if solenoidal:
         v = leray_project(v)
     return symmetrize(v)

@@ -1,14 +1,17 @@
 """Independent reference implementations used to cross-check the package.
 
 Most of this deliberately avoids the package's FFT/vectorized code paths:
-plain python loops over explicit mode dictionaries, quadrature sums over
-collocation samples, norm weights built as full (n, n, n) arrays, and the
+numpy's full forward transform and the 2/3-rule mask as whole arrays (the
+package transforms and keeps only the band), plain python loops over
+explicit mode dictionaries, quadrature sums over collocation samples, norm
+weights built as full (n, n, n) arrays, and the
 whole-history radius pipeline (cumulative I(t), the Gronwall majorant M(t),
 the explicit lower bound and the Bernoulli closed form) that `solver.run`
 and RadiusTracker compute one sample at a time.  rk4_chain is the one
 driver here: it steps the package's one-interval radius kernel across a
-sampled history.  The last eight functions are test-side compositions of
-package kernels that the package itself never calls: the vorticity/current
+sampled history.  The last nine functions are test-side compositions of
+package kernels that the package itself never calls: the primitive
+tendency written into full fields, the vorticity/current
 tendency of a primitive state as the rows of `lab.CURL_TERMS` through
 `operators.advect`, the weighted trilinear form through `advect`
 (transform_trilinear), the cross gradient term E(u, h) - E(h, u) from the
@@ -49,13 +52,26 @@ from gevreymhd.solver import (
     cfl_timestep,
     step_rk4,
 )
-from gevreymhd.spectral import SpectralField
+from gevreymhd.spectral import SpectralField, _from_band
 from gevreymhd.triads import (
     extract_band,
     pair_marginal,
     weight_tables,
     weighted_sum,
 )
+
+
+def from_physical(grid, samples):
+    """Forward transform of the (3, n, n, n) samples of one field at every
+    mode: numpy's fftn over the mode axes, / n^3, k = 0 pinned to 0."""
+    coeffs = np.fft.fftn(samples, axes=(1, 2, 3)) / grid.n**3
+    coeffs[:, 0, 0, 0] = 0.0
+    return SpectralField(grid, coeffs)
+
+
+def dealias(v):
+    """Zero every mode with any |k_i| > n/3 (2/3 rule) by the full mask."""
+    return SpectralField(v.grid, v.coeffs * v.grid.band_mask(v.grid.n / 3.0))
 
 
 def field_to_modes(field, tol=0.0):
@@ -214,6 +230,17 @@ def rk4_chain(times, a_series, b_series, tau0: float) -> np.ndarray:
                                   a_series[i], a_series[i + 1],
                                   b_series[i], b_series[i + 1]))
     return np.array(taus)
+
+
+PrimitiveTendency = namedtuple("PrimitiveTendency", "du dh")
+
+
+def primitive_tendency(state):
+    """rhs_primitive(state)'s band written into full fields du and dh,
+    +0.0 at every mode outside the band."""
+    band, n = solver.rhs_primitive(state).band, state.grid.n
+    return PrimitiveTendency(*(SpectralField(state.grid, _from_band(c, n))
+                               for c in (band[:3], band[3:])))
 
 
 # du and dh name the tendencies of omega and current, as they do for u, h.

@@ -25,7 +25,6 @@ from gevreymhd.solver import (
     cfl_timestep,
     cross_helicity,
     energy,
-    rhs_primitive,
     run,
     step_rk4,
 )
@@ -40,6 +39,7 @@ from gevreymhd.spectral import (
 from oracles import (
     bernoulli_tau,
     cross_gradient_curl_term,
+    primitive_tendency,
     rhs_curl,
     rk4_chain,
     transform_trilinear,
@@ -219,7 +219,7 @@ class TestSolverPhysics:
 
     def test_vorticity_curl_consistency(self, evolved):
         _, cur = evolved
-        tp = rhs_primitive(cur)
+        tp = primitive_tendency(cur)
         tc = rhs_curl(cur)
         scale = max(tc.du.max_amplitude(), 1.0)
         assert np.max(np.abs(curl(tp.du).coeffs - tc.du.coeffs)) < 1e-10 * scale
@@ -229,7 +229,7 @@ class TestSolverPhysics:
         # induction nonlinearity; the identity closes only with the explicit
         # cross-gradient correction (see the decisions ledger)
         _, cur = evolved
-        tp = rhs_primitive(cur)
+        tp = primitive_tendency(cur)
         tc = rhs_curl(cur)
         omega, current = curl(cur.u), curl(cur.h)
         dj_true = curl(tp.dh)

@@ -55,6 +55,19 @@ class TestClosedForms:
         tau = _rk4_interval(1e-150, 0.0, 200.0, 5.0, 5.0, 0.0, 0.0)
         assert 0.8e-300 < tau <= 1e-300
 
+    def test_integrator_survives_b_growing_by_decades_in_a_substep(self):
+        # b rises 69 decades over the interval.  Sized from the rate at its
+        # start alone, the first substep overshot to tau = -4.1e170, read
+        # as a collapse.  With w = 1/tau, w' = a w + b, so the exact tau is
+        # exp(-A) / (1/tau0 + int b exp(-A(s)) ds), A the integral of a;
+        # 0 <= A(s) <= A bounds it on both sides.
+        tau0, span, a0, a1 = 0.1, 0.05, 3.0, 3.0484224997581801
+        b0, b1 = 3.203696800055768e+44, 1.6509471571948317e+113
+        A, B = 0.5 * span * (a0 + a1), 0.5 * span * (b0 + b1)
+        tau = _rk4_interval(tau0, 0.0, span, a0, a1, b0, b1)
+        assert np.exp(-A) / (1.0 / tau0 + B) <= tau
+        assert tau <= 1.0 / (np.exp(A) / tau0 + B)
+
     def test_integrator_input_validation(self):
         with pytest.raises(ValueError):
             _rk4_interval(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0)

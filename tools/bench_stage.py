@@ -1,10 +1,13 @@
 """Time one RK4 stage's layers at n = 16, 32 and 64 and record the times.
 
-For the Taylor-Green state of each grid it times the forward transform of
-the two advection products (six components) as the solver makes it, one
-`rhs_primitive` and one `step_rk4`, each as the median of RUNS calls after
-one warm-up call.  The times go under LABEL into OUT (BENCH_stage.json at
-the checkout's root by default), with the commit of the checkout that holds
+For each grid it times the Taylor-Green `init_state`, the forward transform
+of the two advection products (six components) as the solver makes it, one
+`rhs_primitive` and one `step_rk4`.  After one warm-up call, a layer is
+called for BUDGET_S seconds, and at least MIN_CALLS times, so a fast layer
+gets hundreds of calls and its median is not one of a few noisy ones.  The
+median and quartiles (`statistics.quantiles`) of each layer, in ms, with
+its call count, go under LABEL into OUT (BENCH_stage.json at the
+checkout's root by default), with the commit of the checkout that holds
 the imported package, the numpy version and the CPU count; other labels in
 OUT are kept, so two checkouts' numbers can stand side by side.
 
@@ -23,20 +26,25 @@ import numpy as np
 
 from gevreymhd import spectral
 from gevreymhd.solver import rhs_primitive, step_rk4
-from gevreymhd.spectral import Grid, taylor_green_mhd, to_physical
+from gevreymhd.spectral import Grid, init_state, to_physical
 
-RUNS = 9
+BUDGET_S = 1.0
+MIN_CALLS = 9
 SIZES = (16, 32, 64)
 
 
-def median_ms(call) -> float:
+def time_ms(call) -> dict:
+    """Median and quartiles, in ms, of the calls BUDGET_S allows."""
     call()
     times = []
-    for _ in range(RUNS):
+    deadline = time.perf_counter() + BUDGET_S
+    while len(times) < MIN_CALLS or time.perf_counter() < deadline:
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
-    return round(1e3 * statistics.median(times), 3)
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"calls": len(times), "median": round(1e3 * median, 4),
+            "q1": round(1e3 * q1, 4), "q3": round(1e3 * q3, 4)}
 
 
 def main(label: str, out: Path) -> None:
@@ -46,20 +54,24 @@ def main(label: str, out: Path) -> None:
         capture_output=True, text=True).stdout.strip()
     times = {}
     for n in SIZES:
-        state = taylor_green_mhd(Grid(n))
+        grid = Grid(n)
+        state = init_state("taylor-green", grid)
         samples = to_physical(state.u, state.h)
         times[f"n{n}"] = {
-            "product_forward_ms": median_ms(
+            "init_state": time_ms(lambda: init_state("taylor-green", grid)),
+            "product_forward": time_ms(
                 lambda: spectral._band_forward(samples)),
-            "rhs_primitive_ms": median_ms(lambda: rhs_primitive(state)),
-            "step_rk4_ms": median_ms(lambda: step_rk4(state, 0.005)),
+            "rhs_primitive": time_ms(lambda: rhs_primitive(state)),
+            "step_rk4": time_ms(lambda: step_rk4(state, 0.005)),
         }
-        print(n, times[f"n{n}"], flush=True)
+        print(n, {k: v["median"] for k, v in times[f"n{n}"].items()},
+              flush=True)
     record = json.loads(out.read_text()) if out.exists() else {}
     record[label] = {"commit": commit, "numpy": np.__version__,
                      "python": platform.python_version(),
-                     "cpus": spectral._cpu_count(), "runs": RUNS,
-                     "statistic": "median", "times": times}
+                     "cpus": spectral._cpu_count(), "budget_s": BUDGET_S,
+                     "min_calls": MIN_CALLS, "unit": "ms",
+                     "statistic": "median and quartiles", "times": times}
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
